@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import codec, distill, latency, netspec
 from .config import Config, load_config, reference_config_path
 from .errors import (
@@ -106,8 +108,7 @@ def cmd_codec(args) -> int:
         q = codec.quantize8(tensor) if args.width == 8 else codec.quantize16(tensor)
         wire.save_message(args.out, wire.quantized_to_message(q))
         report = codec.data_size(q, os.path.getsize(args.infile))
-        err = max(abs(a - b) for a, b in
-                  zip(codec.dequantize(q).tolist(), tensor.tolist()))
+        err = np.abs(codec.dequantize(q).data - tensor.data.astype(np.float64)).max()
         print(f"payload_bytes: {report.payload_bytes}")
         print(f"header_bytes: {report.header_bytes}")
         print(f"total_bytes: {report.total_bytes}")

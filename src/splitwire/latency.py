@@ -195,13 +195,10 @@ def sweep(prof: ExecutionProfile, sizes: PayloadSizes, width: int,
     rows = []
     for rate in rates_bps:
         ch = ChannelModel(rate, fixed_latency_s)
-        for strategy in STRATEGIES:
-            bd = total_delay(strategy, prof, ch, sizes, width, p_drop)
-            rows.append(SweepRow(
-                rate, strategy, bd,
-                gain_vs_local(prof, ch, sizes, width, strategy, p_drop),
-                gain_vs_offload(prof, ch, sizes, width, strategy, p_drop),
-            ))
+        bds = {s: total_delay(s, prof, ch, sizes, width, p_drop) for s in STRATEGIES}
+        lc, po = bds["LC"].total, bds["PO"].total
+        rows.extend(SweepRow(rate, s, bd, lc / bd.total, po / bd.total)
+                    for s, bd in bds.items())
     return rows
 
 
@@ -224,12 +221,13 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
 def crossover_rate(prof: ExecutionProfile, sizes: PayloadSizes, width: int,
                    strategy_a: str, strategy_b: str,
                    bracket: tuple[float, float], p_drop: float = 0.0,
-                   fixed_latency_s: float = 0.0, tol_s: float = 1e-6,
-                   max_iter: int = 200) -> float:
-    """Bisect for the rate where two strategies have equal total delay.
+                   fixed_latency_s: float = 0.0) -> float:
+    """Rate where two strategies have equal total delay, in closed form.
 
-    Raises NoCrossoverError when the delay difference has the same sign at
-    both bracket endpoints.
+    Every strategy's delay is affine in 1/rate, so their difference is a
+    line in 1/rate and one secant step between the bracket endpoints lands
+    on its root. Raises NoCrossoverError when the delay difference has the
+    same sign at both bracket endpoints.
     """
     lo, hi = bracket
     if not 0 < lo < hi:
@@ -251,13 +249,4 @@ def crossover_rate(prof: ExecutionProfile, sizes: PayloadSizes, width: int,
             f"no {strategy_a}/{strategy_b} crossover in "
             f"[{lo / 1e6:g}, {hi / 1e6:g}] Mbps"
         )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        d_mid = diff(mid)
-        if abs(d_mid) < tol_s:
-            return mid
-        if (d_mid > 0) == (d_lo > 0):
-            lo, d_lo = mid, d_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 1.0 / (1.0 / lo + d_lo * (1.0 / hi - 1.0 / lo) / (d_lo - d_hi))

@@ -94,16 +94,12 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         return float("nan")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = float(ranks[positive].sum())
+    # each run of tied scores [start, end) shares the midrank (start + end + 1) / 2
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    pos_per_run = np.add.reduceat(positive[order].astype(np.float64), starts)
+    rank_sum = float(np.dot(0.5 * (starts + ends + 1), pos_per_run))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

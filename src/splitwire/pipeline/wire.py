@@ -167,6 +167,8 @@ def message_to_tensor(m: WireMessage) -> Tensor:
     if m.msg_type is not MsgType.FTENSOR32:
         raise CodecError(f"expected FTENSOR32, got {m.msg_type.name}")
     vals = np.frombuffer(m.payload, dtype="<f4").astype(np.float32)
+    if not np.isfinite(vals).all():
+        raise CodecError("FTENSOR32 payload holds NaN or Inf")
     return Tensor(Shape(m.dims), vals)
 
 

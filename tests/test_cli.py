@@ -1,6 +1,7 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from splitwire.cli import main
@@ -104,6 +105,17 @@ def test_codec_dequantize_jpeg_typed_file_exits_3(tmp_path):
     save_message(str(jpeg), WireMessage(MsgType.JPEG_IMAGE, payload=b"stub"))
     assert run(["codec", "dequantize", "--in", str(jpeg),
                 "--out", str(tmp_path / "out.bin")]) == 3
+
+
+@pytest.mark.parametrize("width", ["8", "16"])
+def test_codec_quantize_nan_input_exits_3(tmp_path, capsys, width):
+    nan_file = tmp_path / "nan.bin"
+    vals = np.array([0.5, np.nan, -0.25, 1.0], dtype="<f4")
+    save_message(str(nan_file), WireMessage(MsgType.FTENSOR32, (1, 2, 2), 1.0, 0,
+                                            vals.tobytes()))
+    assert run(["codec", "quantize", "--in", str(nan_file),
+                "--out", str(tmp_path / "out.bin"), "--width", width]) == 3
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_codec_corrupt_input_exits_3(tmp_path):

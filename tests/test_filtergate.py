@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from splitwire.errors import RangeError
-from splitwire.pipeline.filtergate import FilterModel, filter_decide, gate_metrics
+from splitwire.pipeline.filtergate import (
+    FilterModel,
+    _rank_auc,
+    filter_decide,
+    gate_metrics,
+)
 
 
 def test_score_below_threshold_drops():
@@ -40,6 +45,15 @@ def test_zero_threshold_metrics():
     assert gm.recall_nonempty == 1.0
     assert gm.drop_rate == 0.0
     assert gm.false_negative_rate == 0.0
+
+
+def test_rank_auc_counts_tied_pairs_as_half():
+    rng = np.random.default_rng(7)
+    scores = np.round(rng.random(40), 1)
+    positive = rng.random(40) < 0.4
+    pos, neg = scores[positive], scores[~positive]
+    wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
+    assert _rank_auc(scores, positive) == wins / (pos.size * neg.size)
 
 
 def test_identical_distributions_give_half_auc():

@@ -190,6 +190,23 @@ def test_crossover_matches_closed_form():
     assert rate == pytest.approx(closed_form_po_sc_crossover(PROF, SIZES), rel=1e-3)
 
 
+def closed_form_po_scnf_crossover(prof, sizes, p_drop, fixed_latency_s):
+    keep = 1.0 - p_drop
+    num = 8.0 * (sizes.jpeg_bytes - keep * sizes.bottleneck_bytes_8)
+    den = (prof.t_head + prof.t_filter_extra + keep * (prof.t_tail + fixed_latency_s)
+           - prof.t_edge_full - fixed_latency_s)
+    return num / den
+
+
+def test_crossover_is_exact_for_affine_delays():
+    rate = crossover_rate(PROF, SIZES, 8, "SC", "PO", (1e5, 1e8))
+    assert rate == pytest.approx(closed_form_po_sc_crossover(PROF, SIZES), rel=1e-12)
+    rate = crossover_rate(PROF, SIZES, 8, "SCNF", "PO", (1e4, 1e9), p_drop=0.3,
+                          fixed_latency_s=0.05)
+    want = closed_form_po_scnf_crossover(PROF, SIZES, 0.3, 0.05)
+    assert rate == pytest.approx(want, rel=1e-12)
+
+
 def test_crossover_reference_profile_near_eight_mbps(ref):
     rate = crossover_rate(ref.profile, ref.sizes, 8, "SC", "PO", (1e6, 2e7))
     assert 7e6 <= rate <= 9e6
