@@ -115,10 +115,13 @@ def quantize8(t: Tensor, symmetric: bool = False) -> QuantizedTensor:
         scale = float(np.float32((hi - lo) / 255.0))
         zero_point = int(np.clip(round(-lo / scale), 0, 255))
 
-    q = np.rint(x.astype(np.float64) / scale) + zero_point
-    q = np.clip(q, 0, 255).astype(np.uint8)
-    return QuantizedTensor(t.shape, 8, scale, zero_point, q.tobytes(),
-                           symmetric=symmetric)
+    q = x.astype(np.float64)
+    q /= scale
+    np.rint(q, out=q)
+    q += zero_point
+    np.clip(q, 0, 255, out=q)
+    payload = q.astype(np.uint8).tobytes()
+    return QuantizedTensor(t.shape, 8, scale, zero_point, payload, symmetric=symmetric)
 
 
 def _quantize8_constant(t: Tensor, c: float, symmetric: bool) -> QuantizedTensor:
@@ -156,19 +159,29 @@ def passthrough32(t: Tensor) -> QuantizedTensor:
 
 
 def dequantize(q: QuantizedTensor) -> Tensor:
-    """Invert quantize8/quantize16/passthrough32."""
+    """Invert quantize8/quantize16/passthrough32.
+
+    Raises CodecError when a dequantized value is NaN or infinite.
+    """
     expected = q.numel * (q.width // 8)
     if len(q.payload) != expected:
         raise CodecError(
             f"corrupt payload: {len(q.payload)} bytes, expected {expected}"
         )
     if q.width == 8:
-        levels = np.frombuffer(q.payload, dtype=np.uint8).astype(np.float64)
-        vals = (q.scale * (levels - q.zero_point)).astype(np.float32)
-    elif q.width == 16:
-        vals = np.frombuffer(q.payload, dtype="<f2").astype(np.float32)
+        # One float32 value per level. scale is binary32 and |level - zp| <= 255,
+        # so each float64 product is exact and the table holds what a
+        # per-element evaluation gives. Entries of levels the payload never
+        # uses may overflow, so the gathered values are checked only then.
+        with np.errstate(over="ignore"):
+            table = (q.scale * (np.arange(256.0) - q.zero_point)).astype(np.float32)
+        vals = table.take(np.frombuffer(q.payload, dtype=np.uint8))
+        finite = np.isfinite(table).all() or np.isfinite(vals).all()
     else:
-        vals = np.frombuffer(q.payload, dtype="<f4").astype(np.float32)
+        vals = np.frombuffer(q.payload, dtype=f"<f{q.width // 8}").astype(np.float32)
+        finite = np.isfinite(vals).all()
+    if not finite:
+        raise CodecError(f"width-{q.width} payload dequantizes to NaN or Inf")
     return Tensor(q.shape, vals)
 
 

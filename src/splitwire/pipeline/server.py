@@ -124,6 +124,8 @@ class PipelineServer:
                 stats.bytes_received += msg.header_bytes + len(msg.payload)
                 reply = self._respond(msg, stats)
                 conn.sendall(encode_message(reply))
+        except socket.timeout:
+            stats.closed_reason = "eof_or_idle"
         except (ProtocolError, CodecError) as exc:
             stats.protocol_errors += 1
             stats.closed_reason = f"protocol_error: {exc}"

@@ -7,6 +7,9 @@ Two transports:
 * ``socket``    - frames go over a real TCP stream to a PipelineServer,
   paced by a token bucket at the channel rate; uplink seconds are measured
   wall clock, while head and tail compute stay virtual (from the profile).
+  Each image is quantized once. After sending its frame, the client
+  computes the digest of the dequantized tensor while the tail works, and
+  checks it against the digest in the tail's reply.
 
 Per-image head time is charged as t_head + t_filter_extra (the filter branch
 runs alongside the head on every image). A dropped image sends nothing and
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import dequantize, quantize8, quantize16, passthrough32
+from ..codec import QuantizedTensor, dequantize, quantize8, quantize16, passthrough32
 from ..errors import ArgumentError, ProtocolError, TransportError
 from ..latency import ChannelModel, ExecutionProfile, transfer_time
 from ..tensor import Shape, Tensor, random_fill
@@ -42,7 +45,7 @@ __all__ = [
 
 def tensor_digest(t: Tensor) -> bytes:
     """SHA-256 over the row-major little-endian float32 bytes."""
-    return hashlib.sha256(t.data.astype("<f4").tobytes()).digest()
+    return hashlib.sha256(t.data.astype("<f4", copy=False)).digest()
 
 
 @dataclass(frozen=True)
@@ -139,11 +142,12 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def read_frame(sock: socket.socket) -> WireMessage | None:
-    """Read one frame from a stream; None on a clean end-of-stream."""
-    try:
-        first = sock.recv(1)
-    except socket.timeout:
-        return None
+    """Read one frame from a stream; None on a clean end-of-stream.
+
+    A socket timeout propagates as ``socket.timeout``, also before the first
+    byte, so a slow peer is not mistaken for a closed one.
+    """
+    first = sock.recv(1)
     if not first:
         return None
     head = first + _recv_exact(sock, 6)
@@ -204,11 +208,12 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
                 records.append(ImageRecord(i, True, 0, head_s, 0.0, 0.0))
                 continue
 
-            frame = encode_message(quantized_to_message(_quantize_for_width(img, width)))
+            q = _quantize_for_width(img, width)
+            frame = encode_message(quantized_to_message(q))
             if mode == "simulated":
                 uplink = transfer_time(len(frame), ch)
             else:
-                uplink = _socket_round_trip(sock, bucket, frame, img, width, i)
+                uplink = _socket_round_trip(sock, bucket, frame, q, i)
             records.append(ImageRecord(i, False, len(frame),
                                        head_s, uplink, prof.t_tail))
     finally:
@@ -217,14 +222,16 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
     return SessionLog(mode, records)
 
 
-def _socket_round_trip(sock, bucket, frame: bytes, img: Tensor,
-                       width: int, index: int) -> float:
+def _socket_round_trip(sock, bucket, frame: bytes, q: QuantizedTensor,
+                       index: int) -> float:
     start = time.monotonic()
     try:
         bucket.send_all(sock, frame)
     except OSError as exc:
         raise TransportError(f"image {index}: send failed: {exc}") from exc
     uplink = time.monotonic() - start
+    # runs while the tail reads, dequantizes and hashes the frame
+    expected = tensor_digest(dequantize(q))
     try:
         reply = read_frame(sock)
     except OSError as exc:
@@ -233,7 +240,6 @@ def _socket_round_trip(sock, bucket, frame: bytes, img: Tensor,
         raise TransportError(f"image {index}: server closed the connection")
     if reply.msg_type is not MsgType.DETECTION_RESULT:
         raise ProtocolError(f"image {index}: unexpected reply {reply.msg_type.name}")
-    expected = tensor_digest(dequantize(_quantize_for_width(img, width)))
     if reply.payload != expected:
         raise ProtocolError(f"image {index}: tensor digest mismatch")
     return uplink

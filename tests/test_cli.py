@@ -118,6 +118,18 @@ def test_codec_quantize_nan_input_exits_3(tmp_path, capsys, width):
     assert "NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("msg_type, dtype", [(MsgType.QTENSOR16, "<f2"),
+                                             (MsgType.FTENSOR32, "<f4")],
+                         ids=["qtensor16", "ftensor32"])
+def test_codec_dequantize_nan_input_exits_3(tmp_path, capsys, msg_type, dtype):
+    nan_file = tmp_path / "nan.bin"
+    vals = np.array([0.5, np.nan, -0.25, 1.0], dtype=dtype)
+    save_message(str(nan_file), WireMessage(msg_type, (1, 2, 2), 1.0, 0, vals.tobytes()))
+    assert run(["codec", "dequantize", "--in", str(nan_file),
+                "--out", str(tmp_path / "out.bin")]) == 3
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_codec_corrupt_input_exits_3(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"this is not a frame")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from splitwire.codec import (
     BINARY16_MAX,
+    QuantizedTensor,
     data_size,
     dequantize,
     passthrough32,
@@ -18,6 +20,7 @@ from splitwire.codec import (
     wire_header_bytes,
 )
 from splitwire.errors import CodecError, RangeError
+from splitwire.pipeline.wire import MsgType, WireMessage, message_to_quantized
 from splitwire.tensor import Shape, make_tensor, random_fill
 
 
@@ -207,6 +210,45 @@ def test_truncated_payload_raises_codec_error():
     # dequantize revalidates even if the frozen instance was force-mutated
     object.__setattr__(q, "payload", q.payload[:-1])
     with pytest.raises(CodecError):
+        dequantize(q)
+
+
+_FLT_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("scale, zero_point", [
+    (1.0, 0),
+    (float(np.float32(2.0 / 255.0)), 128),
+    (float(np.float32(0.1)), 200),
+    (float(np.float32(1e-30)), 37),
+    (float(np.float32(_FLT_MAX / 255.0)), 0),
+    (float(np.float32(_FLT_MAX / 255.0)), 255),
+])
+def test_width8_dequantize_bits_match_float64_formula(scale, zero_point):
+    levels = np.random.default_rng(23).permutation(np.tile(np.arange(256), 2))
+    q = QuantizedTensor(Shape([levels.size]), 8, scale, zero_point,
+                        levels.astype(np.uint8).tobytes())
+    # one rounding to float32 of the float64 product, element by element
+    ref = np.array([np.float32(scale * (int(v) - zero_point)) for v in levels])
+    got = dequantize(q).data
+    assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+
+def test_width8_large_constant_dequantizes_without_warning():
+    t = make_tensor([4], [1e37] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dequantize(quantize8(t)) == t
+
+
+@pytest.mark.parametrize("msg_type, scale, payload", [
+    (MsgType.QTENSOR8, 1e38, b"\xff"),
+    (MsgType.QTENSOR16, 1.0, np.array([np.nan], dtype="<f2").tobytes()),
+    (MsgType.FTENSOR32, 1.0, np.array([np.inf], dtype="<f4").tobytes()),
+], ids=["qtensor8_overflow", "qtensor16_nan", "ftensor32_inf"])
+def test_dequantize_rejects_non_finite_values(msg_type, scale, payload):
+    q = message_to_quantized(WireMessage(msg_type, (1,), scale, 0, payload))
+    with pytest.raises(CodecError, match="NaN or Inf"):
         dequantize(q)
 
 

@@ -2,6 +2,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from splitwire.codec import dequantize, quantize8
@@ -136,6 +137,23 @@ def test_wire_valid_but_codec_invalid_frame_closes_connection():
         log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket",
                           seed=21, server_addr=srv.address)
         assert len(log.records) == 2
+
+
+def test_non_finite_qtensor16_frame_is_a_protocol_error():
+    nan = np.array([0.5, np.nan, -0.25, 1.0], dtype="<f2").tobytes()
+    with PipelineServer(prof=PROF) as srv:
+        with socket.create_connection(srv.address, timeout=5.0) as sock:
+            sock.sendall(encode_message(WireMessage(MsgType.QTENSOR16, (1, 2, 2),
+                                                    1.0, 0, nan)))
+            try:
+                assert read_frame(sock) is None
+            except ConnectionResetError:
+                pass
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not srv.stats[0].closed_reason:
+            time.sleep(0.01)
+        assert srv.stats[0].protocol_errors == 1
+        assert srv.stats[0].closed_reason.startswith("protocol_error")
 
 
 def test_empty_result_frames_are_echoed():

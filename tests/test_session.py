@@ -1,11 +1,17 @@
+import socket
+import threading
+
 import numpy as np
 import pytest
 
 from splitwire.codec import wire_header_bytes
-from splitwire.errors import ArgumentError, TransportError
+from splitwire.errors import ArgumentError, ProtocolError, TransportError
 from splitwire.latency import ChannelModel, ExecutionProfile, PayloadSizes, total_delay
+from splitwire.pipeline import session
 from splitwire.pipeline.filtergate import FilterModel
-from splitwire.pipeline.session import make_stream, run_session
+from splitwire.pipeline.server import PipelineServer
+from splitwire.pipeline.session import make_stream, read_frame, run_session
+from splitwire.pipeline.wire import detection_result_message, encode_message
 
 PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
                         t_tail=0.04, t_filter_extra=0.004)
@@ -110,3 +116,56 @@ def test_socket_mode_without_server_raises_transport_error():
     with pytest.raises(TransportError):
         run_session(images, PROF, CH, SHARP_FM, mode="socket",
                     server_addr=("127.0.0.1", 1), connect_timeout_s=0.5)
+
+
+def test_socket_mode_quantizes_each_kept_image_once(monkeypatch):
+    calls = []
+    quantize8 = session.quantize8
+
+    def counting(t):
+        calls.append(t)
+        return quantize8(t)
+
+    monkeypatch.setattr(session, "quantize8", counting)
+    images = make_stream(12, [3, 4, 4], 0.5, seed=17)
+    with PipelineServer(prof=PROF) as srv:
+        log = run_session(images, PROF, CH, SHARP_FM, mode="socket", seed=18,
+                          server_addr=srv.address)
+    kept = sum(not r.filtered for r in log.records)
+    assert 0 < kept < 12
+    assert len(calls) == kept
+
+
+def test_wrong_reply_digest_raises_protocol_error():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def stub_tail():
+        conn, _ = listener.accept()
+        with conn:
+            read_frame(conn)
+            conn.sendall(encode_message(detection_result_message(bytes(32))))
+            conn.recv(1)  # hold the connection until the client closes it
+
+    tail = threading.Thread(target=stub_tail, daemon=True)
+    tail.start()
+    images = make_stream(1, [3, 4, 4], 0.0, seed=19)
+    try:
+        with pytest.raises(ProtocolError, match="tensor digest mismatch"):
+            run_session(images, PROF, CH, SHARP_FM, mode="socket", seed=20,
+                        server_addr=listener.getsockname())
+    finally:
+        tail.join(timeout=5.0)
+        listener.close()
+    assert not tail.is_alive()
+
+
+def test_slow_reply_is_a_timeout_not_a_closed_connection():
+    slow = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
+                            t_tail=0.6, t_filter_extra=0.004)
+    images = make_stream(1, [3, 4, 4], 0.0, seed=21)
+    with PipelineServer(prof=slow, tail_mode="sleep") as srv:
+        with pytest.raises(TransportError) as info:
+            run_session(images, slow, CH, SHARP_FM, mode="socket", seed=22,
+                        server_addr=srv.address, connect_timeout_s=0.3)
+    assert "no reply" in str(info.value)
+    assert "closed" not in str(info.value)
