@@ -17,9 +17,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..codec import dequantize
 from ..errors import CodecError, ProtocolError, TransportError
 from ..latency import ExecutionProfile
-from .session import read_frame, tensor_digest
+from .session import read_frame
 from .wire import (
     MsgType,
     WireMessage,
@@ -27,15 +28,12 @@ from .wire import (
     empty_result_message,
     encode_message,
     message_to_quantized,
-    message_to_tensor,
+    tensor_digest,
 )
-from ..codec import dequantize
 
 __all__ = ["ConnectionStats", "PipelineServer", "serve"]
 
 log = logging.getLogger(__name__)
-
-_TENSOR_TYPES = (MsgType.QTENSOR8, MsgType.QTENSOR16, MsgType.FTENSOR32)
 
 
 @dataclass
@@ -62,6 +60,7 @@ class PipelineServer:
         self._accept_thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
+        self._live: dict[socket.socket, threading.Thread] = {}
 
     @property
     def address(self) -> tuple[str, int]:
@@ -84,12 +83,22 @@ class PipelineServer:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, end every live connection and join its handler."""
         self._stop.set()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        with self._lock:
+            live = list(self._live.items())
+            for conn, _ in live:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for _, handler in live:
+            handler.join(timeout=5.0)
 
     def __enter__(self) -> "PipelineServer":
         return self.start()
@@ -105,8 +114,11 @@ class PipelineServer:
                 continue
             except OSError:
                 break
-            threading.Thread(target=self._handle, args=(conn, peer),
-                             daemon=True).start()
+            handler = threading.Thread(target=self._handle, args=(conn, peer),
+                                       daemon=True)
+            with self._lock:
+                self._live[conn] = handler
+            handler.start()
 
     def _handle(self, conn: socket.socket, peer) -> None:
         stats = ConnectionStats(peer)
@@ -133,21 +145,21 @@ class PipelineServer:
         except OSError as exc:
             stats.closed_reason = f"transport: {exc}"
         finally:
+            # under the lock, so stop() never shuts down a closed socket
+            with self._lock:
+                del self._live[conn]
             conn.close()
 
     def _respond(self, msg: WireMessage, stats: ConnectionStats) -> WireMessage:
-        if msg.msg_type in _TENSOR_TYPES:
-            if msg.msg_type is MsgType.FTENSOR32:
-                tensor = message_to_tensor(msg)
-            else:
-                tensor = dequantize(message_to_quantized(msg))
-            self._charge_tail(stats)
-            return detection_result_message(tensor_digest(tensor))
         if msg.msg_type is MsgType.JPEG_IMAGE:
             # full-model path: acknowledge with a digest of the opaque bytes
             self._charge_tail(stats)
             return detection_result_message(hashlib.sha256(msg.payload).digest())
-        return empty_result_message()
+        if msg.msg_type in (MsgType.DETECTION_RESULT, MsgType.EMPTY_RESULT):
+            return empty_result_message()
+        tensor = dequantize(message_to_quantized(msg))
+        self._charge_tail(stats)
+        return detection_result_message(tensor_digest(tensor))
 
     def _charge_tail(self, stats: ConnectionStats) -> None:
         t_tail = self.prof.t_tail if self.prof is not None else 0.0

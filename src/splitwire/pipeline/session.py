@@ -19,7 +19,6 @@ pays no tail time.
 from __future__ import annotations
 
 import csv
-import hashlib
 import socket
 import time
 from dataclasses import dataclass
@@ -31,7 +30,8 @@ from ..errors import ArgumentError, ProtocolError, TransportError
 from ..latency import ChannelModel, ExecutionProfile, transfer_time
 from ..tensor import Shape, Tensor, random_fill
 from .filtergate import FilterModel, filter_decide
-from .wire import MsgType, WireMessage, decode_message, encode_message, quantized_to_message
+from .wire import (MsgType, WireMessage, decode_message, encode_message,
+                   quantized_to_message, recv_frame, tensor_digest)
 
 __all__ = [
     "ImageRecord",
@@ -41,11 +41,6 @@ __all__ = [
     "run_session",
     "tensor_digest",
 ]
-
-
-def tensor_digest(t: Tensor) -> bytes:
-    """SHA-256 over the row-major little-endian float32 bytes."""
-    return hashlib.sha256(t.data.astype("<f4", copy=False)).digest()
 
 
 @dataclass(frozen=True)
@@ -129,37 +124,10 @@ class TokenBucket:
                 time.sleep(delay)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def read_frame(sock: socket.socket) -> WireMessage | None:
-    """Read one frame from a stream; None on a clean end-of-stream.
-
-    A socket timeout propagates as ``socket.timeout``, also before the first
-    byte, so a slow peer is not mistaken for a closed one.
-    """
-    first = sock.recv(1)
-    if not first:
-        return None
-    head = first + _recv_exact(sock, 6)
-    if head[:4] != b"SCWP":
-        raise ProtocolError(f"bad magic {head[:4]!r}")
-    ndim = head[6]
-    rest = _recv_exact(sock, 4 * ndim + 16)
-    payload_len = int.from_bytes(rest[-8:], "big")
-    if payload_len > (1 << 32):
-        raise ProtocolError(f"implausible payload_len {payload_len}")
-    payload = _recv_exact(sock, payload_len) if payload_len else b""
-    return decode_message(head + rest + payload)
+    """Read one frame with wire.recv_frame and decode it; None at end-of-stream."""
+    frame = recv_frame(sock)
+    return None if frame is None else decode_message(frame)
 
 
 def _quantize_for_width(t: Tensor, width: int):

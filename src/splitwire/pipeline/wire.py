@@ -17,18 +17,28 @@ Tensor payloads keep the codec's element order: row-major, 16/32-bit
 elements little-endian. The header is at most 55 bytes (ndim <= 8), inside
 the fixed 64-byte budget. decode_message is total: any byte string either
 yields a valid message or raises ProtocolError.
+
+recv_frame reads one frame off a stream. It checks magic, version and ndim
+as soon as the 7-byte prefix is in, with the same check decode_message
+uses, and asks the socket for at most 1 MiB per recv, so the memory a
+frame takes grows only with the bytes that really arrived.
+
+tensor_digest (SHA-256 of the float32 values) is what the tail replies
+with and what the head checks.
 """
 
 from __future__ import annotations
 
+import hashlib
+import socket
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from ..codec import QuantizedTensor, wire_header_bytes
-from ..errors import CodecError, ProtocolError
+from ..codec import QuantizedTensor, dequantize, passthrough32, wire_header_bytes
+from ..errors import CodecError, ProtocolError, TransportError
 from ..tensor import Shape, Tensor
 
 __all__ = [
@@ -39,6 +49,8 @@ __all__ = [
     "WireMessage",
     "encode_message",
     "decode_message",
+    "recv_frame",
+    "tensor_digest",
     "tensor_to_message",
     "message_to_tensor",
     "quantized_to_message",
@@ -55,6 +67,7 @@ MAX_NDIM = 8
 
 _PREFIX = struct.Struct(">4sBBB")
 _TRAILER = struct.Struct(">fiQ")
+_RECV_CHUNK = 1 << 20
 
 
 class MsgType(IntEnum):
@@ -66,8 +79,9 @@ class MsgType(IntEnum):
     EMPTY_RESULT = 5
 
 
-_ELEMENT_BYTES = {MsgType.QTENSOR8: 1, MsgType.QTENSOR16: 2, MsgType.FTENSOR32: 4}
-_DIMLESS = (MsgType.JPEG_IMAGE, MsgType.DETECTION_RESULT, MsgType.EMPTY_RESULT)
+# element width in bits of each tensor type; every other type is dimless
+_WIDTH = {MsgType.QTENSOR8: 8, MsgType.QTENSOR16: 16, MsgType.FTENSOR32: 32}
+_TYPE = {w: mt for mt, w in _WIDTH.items()}
 
 
 @dataclass(frozen=True)
@@ -100,20 +114,19 @@ class WireMessage:
         n = 1
         for d in dims:
             n *= d
-        if mt in _ELEMENT_BYTES:
+        if mt in _WIDTH:
             if not dims:
                 raise ProtocolError(f"{mt.name} needs at least one dim")
-            expected = n * _ELEMENT_BYTES[mt]
+            expected = n * (_WIDTH[mt] // 8)
             if len(self.payload) != expected:
                 raise ProtocolError(
                     f"{mt.name} payload is {len(self.payload)} bytes, "
                     f"expected {expected} for dims {dims}"
                 )
-        elif mt in _DIMLESS:
-            if dims:
-                raise ProtocolError(f"{mt.name} must not carry dims")
-            if mt is MsgType.EMPTY_RESULT and self.payload:
-                raise ProtocolError("EMPTY_RESULT must have no payload")
+        elif dims:
+            raise ProtocolError(f"{mt.name} must not carry dims")
+        elif mt is MsgType.EMPTY_RESULT and self.payload:
+            raise ProtocolError("EMPTY_RESULT must have no payload")
 
     @property
     def header_bytes(self) -> int:
@@ -129,10 +142,8 @@ def encode_message(m: WireMessage) -> bytes:
     return b"".join(parts)
 
 
-def decode_message(data: bytes) -> WireMessage:
-    """Parse one complete frame; trailing bytes are a protocol violation."""
-    if len(data) < _PREFIX.size:
-        raise ProtocolError(f"truncated frame: {len(data)} bytes")
+def _check_prefix(data: bytes) -> tuple[int, int]:
+    """msg_type and ndim of a frame's first 7 bytes, or ProtocolError."""
     magic, version, msg_type, ndim = _PREFIX.unpack_from(data, 0)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
@@ -140,6 +151,14 @@ def decode_message(data: bytes) -> WireMessage:
         raise ProtocolError(f"unsupported version {version}")
     if ndim > MAX_NDIM:
         raise ProtocolError(f"ndim {ndim} exceeds maximum {MAX_NDIM}")
+    return msg_type, ndim
+
+
+def decode_message(data: bytes) -> WireMessage:
+    """Parse one complete frame; trailing bytes are a protocol violation."""
+    if len(data) < _PREFIX.size:
+        raise ProtocolError(f"truncated frame: {len(data)} bytes")
+    msg_type, ndim = _check_prefix(data)
     off = _PREFIX.size
     need = 4 * ndim + _TRAILER.size
     if len(data) < off + need:
@@ -156,38 +175,62 @@ def decode_message(data: bytes) -> WireMessage:
     return WireMessage(msg_type, dims, scale, zero_point, data[off:])
 
 
+def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    chunks = []
+    while n:
+        chunk = sock.recv(min(n, _RECV_CHUNK))
+        if not chunk:
+            raise TransportError("connection closed mid-frame")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def recv_frame(sock: socket.socket) -> bytes | None:
+    """The bytes of one frame read off a stream; None on a clean end-of-stream.
+
+    A socket timeout propagates as ``socket.timeout``, also before the first
+    byte, so a slow peer is not mistaken for a closed one.
+    """
+    first = sock.recv(_PREFIX.size)
+    if not first:
+        return None
+    prefix = first + _recv_exact(sock, _PREFIX.size - len(first))
+    _, ndim = _check_prefix(prefix)
+    rest = _recv_exact(sock, 4 * ndim + _TRAILER.size)
+    payload_len = _TRAILER.unpack_from(rest, 4 * ndim)[2]
+    if payload_len > (1 << 32):
+        raise ProtocolError(f"implausible payload_len {payload_len}")
+    return prefix + rest + _recv_exact(sock, payload_len)
+
+
+def tensor_digest(t: Tensor) -> bytes:
+    """SHA-256 over the row-major little-endian float32 bytes."""
+    return hashlib.sha256(t.data.astype("<f4", copy=False)).digest()
+
+
 # --- tensor conversions ------------------------------------------------------
 
 def tensor_to_message(t: Tensor) -> WireMessage:
-    return WireMessage(MsgType.FTENSOR32, t.shape.dims, 1.0, 0,
-                       t.data.astype("<f4").tobytes())
+    return quantized_to_message(passthrough32(t))
 
 
 def message_to_tensor(m: WireMessage) -> Tensor:
     if m.msg_type is not MsgType.FTENSOR32:
         raise CodecError(f"expected FTENSOR32, got {m.msg_type.name}")
-    vals = np.frombuffer(m.payload, dtype="<f4").astype(np.float32)
-    if not np.isfinite(vals).all():
-        raise CodecError("FTENSOR32 payload holds NaN or Inf")
-    return Tensor(Shape(m.dims), vals)
-
-
-_WIDTH_TO_TYPE = {8: MsgType.QTENSOR8, 16: MsgType.QTENSOR16, 32: MsgType.FTENSOR32}
-_TYPE_TO_WIDTH = {v: k for k, v in _WIDTH_TO_TYPE.items()}
+    return dequantize(message_to_quantized(m))
 
 
 def quantized_to_message(q: QuantizedTensor) -> WireMessage:
-    if q.width == 8:
-        return WireMessage(MsgType.QTENSOR8, q.shape.dims, q.scale,
-                           q.zero_point, q.payload)
-    mt = MsgType.QTENSOR16 if q.width == 16 else MsgType.FTENSOR32
-    return WireMessage(mt, q.shape.dims, 1.0, 0, q.payload)
+    affine = q.width == 8
+    return WireMessage(_TYPE[q.width], q.shape.dims, q.scale if affine else 1.0,
+                       q.zero_point if affine else 0, q.payload)
 
 
 def message_to_quantized(m: WireMessage) -> QuantizedTensor:
-    if m.msg_type not in _TYPE_TO_WIDTH:
+    if m.msg_type not in _WIDTH:
         raise CodecError(f"{m.msg_type.name} does not carry a tensor")
-    width = _TYPE_TO_WIDTH[m.msg_type]
+    width = _WIDTH[m.msg_type]
     return QuantizedTensor(Shape(m.dims), width, m.scale if width == 8 else 1.0,
                            m.zero_point if width == 8 else 0, m.payload)
 

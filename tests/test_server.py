@@ -1,4 +1,5 @@
 import socket
+import sys
 import threading
 import time
 
@@ -26,11 +27,12 @@ KEEP_ALL = FilterModel(threshold=0.1, p_empty=0.0, mu_nonempty=30.0,
                        sigma_nonempty=0.1)
 
 
-def test_loopback_session_round_trips_tensors():
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_loopback_session_round_trips_tensors(width):
     images = make_stream(20, [3, 16, 16], 0.0, seed=1)
     with PipelineServer(prof=PROF) as srv:
         log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket",
-                          seed=2, server_addr=srv.address)
+                          seed=2, width=width, server_addr=srv.address)
     # run_session verifies the digest of every reply against the local
     # dequantized tensor, so completing is the bit-exactness proof
     assert len(log.records) == 20
@@ -115,6 +117,52 @@ def test_idle_timeout_closes_cleanly():
         assert srv.stats[0].protocol_errors == 0
 
 
+def test_stop_closes_live_connections_and_joins_handlers():
+    before = set(threading.enumerate())
+    srv = PipelineServer(prof=PROF).start()
+    with socket.create_connection(srv.address, timeout=5.0) as sock:
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not srv.stats:
+            time.sleep(0.01)
+        assert srv.stats, "the connection was never handled"
+        srv.stop()
+        sock.settimeout(1.0)
+        assert sock.recv(1) == b""
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_stop_during_traffic_leaves_no_live_handlers():
+    img = make_stream(1, [3, 4, 4], 0.0, seed=5)[0][0]
+    frame = encode_message(quantized_to_message(quantize8(img)))
+    before = set(threading.enumerate())
+    srv = PipelineServer(prof=PROF).start()
+
+    def client():
+        try:
+            for _ in range(50):
+                with socket.create_connection(srv.address, timeout=2.0) as sock:
+                    sock.sendall(frame)
+                    read_frame(sock)
+        except OSError:
+            pass  # the server went away mid-run
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(6)]
+        for c in clients:
+            c.start()
+        time.sleep(0.1)
+        srv.stop()
+        for c in clients:
+            c.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in clients)
+    assert srv._live == {}
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
 def test_bind_failure_raises_transport_error():
     with PipelineServer(prof=PROF) as srv:
         host, port = srv.address
@@ -139,12 +187,14 @@ def test_wire_valid_but_codec_invalid_frame_closes_connection():
         assert len(log.records) == 2
 
 
-def test_non_finite_qtensor16_frame_is_a_protocol_error():
-    nan = np.array([0.5, np.nan, -0.25, 1.0], dtype="<f2").tobytes()
+@pytest.mark.parametrize("msg_type, dtype", [(MsgType.QTENSOR16, "<f2"),
+                                             (MsgType.FTENSOR32, "<f4")],
+                         ids=["qtensor16", "ftensor32"])
+def test_non_finite_tensor_frame_is_a_protocol_error(msg_type, dtype):
+    nan = np.array([0.5, np.nan, -0.25, 1.0], dtype=dtype).tobytes()
     with PipelineServer(prof=PROF) as srv:
         with socket.create_connection(srv.address, timeout=5.0) as sock:
-            sock.sendall(encode_message(WireMessage(MsgType.QTENSOR16, (1, 2, 2),
-                                                    1.0, 0, nan)))
+            sock.sendall(encode_message(WireMessage(msg_type, (1, 2, 2), 1.0, 0, nan)))
             try:
                 assert read_frame(sock) is None
             except ConnectionResetError:

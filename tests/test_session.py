@@ -1,4 +1,5 @@
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -11,7 +12,7 @@ from splitwire.pipeline import session
 from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
-from splitwire.pipeline.wire import detection_result_message, encode_message
+from splitwire.pipeline.wire import MAGIC, detection_result_message, encode_message
 
 PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
                         t_tail=0.04, t_filter_extra=0.004)
@@ -169,3 +170,34 @@ def test_slow_reply_is_a_timeout_not_a_closed_connection():
                         server_addr=srv.address, connect_timeout_s=0.3)
     assert "no reply" in str(info.value)
     assert "closed" not in str(info.value)
+
+
+def test_bad_version_is_rejected_after_the_prefix():
+    head, tail = socket.socketpair()
+    with head, tail:
+        tail.settimeout(2.0)
+        head.sendall(MAGIC + bytes([9, 1, 0]))
+        with pytest.raises(ProtocolError, match="unsupported version 9"):
+            read_frame(tail)
+
+
+class _RecordingSocket:
+    """Serves fixed bytes, then end-of-stream; records each recv size."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.asked: list[int] = []
+
+    def recv(self, n: int) -> bytes:
+        self.asked.append(n)
+        chunk, self.data = self.data[:n], self.data[n:]
+        return chunk
+
+
+def test_each_recv_is_bounded_whatever_the_header_claims():
+    # a dimless JPEG_IMAGE header claiming a 4 GiB payload, then EOF
+    header = MAGIC + bytes([1, 0, 0]) + struct.pack(">fiQ", 0.0, 0, 1 << 32)
+    sock = _RecordingSocket(header)
+    with pytest.raises(TransportError, match="closed mid-frame"):
+        read_frame(sock)
+    assert max(sock.asked) <= 1 << 20

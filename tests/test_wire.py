@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitwire.codec import quantize8, quantize16, wire_header_bytes
-from splitwire.errors import CodecError, ProtocolError
+from splitwire.errors import CodecError, ProtocolError, TransportError
 from splitwire.pipeline.wire import (
     MAGIC,
     MAX_NDIM,
@@ -20,6 +20,7 @@ from splitwire.pipeline.wire import (
     message_to_quantized,
     message_to_tensor,
     quantized_to_message,
+    recv_frame,
     save_message,
     tensor_to_message,
 )
@@ -147,6 +148,31 @@ def test_message_to_quantized_rejects_non_tensor_types():
         message_to_quantized(WireMessage(MsgType.JPEG_IMAGE, payload=b"jpegbytes"))
     with pytest.raises(CodecError):
         message_to_tensor(qmsg([4]))
+
+
+class _Dribble:
+    """A stream that hands out one byte per recv, then end-of-stream."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def recv(self, n: int) -> bytes:
+        chunk, self.data = self.data[:1], self.data[1:]
+        return chunk
+
+
+def test_recv_frame_reassembles_a_dribbled_frame():
+    frame = encode_message(qmsg([2, 3, 4], seed=5))
+    stream = _Dribble(frame + frame)
+    assert recv_frame(stream) == frame
+    assert recv_frame(stream) == frame
+    assert recv_frame(stream) is None
+
+
+def test_recv_frame_cut_mid_payload_is_a_transport_error():
+    frame = encode_message(qmsg([2, 3, 4], seed=6))
+    with pytest.raises(TransportError, match="closed mid-frame"):
+        recv_frame(_Dribble(frame[:-5]))
 
 
 def test_save_and_load_message(tmp_path):
