@@ -269,11 +269,25 @@ def _as_data_matrix(dataset) -> np.ndarray:
     return np.stack(rows)
 
 
+def _layer_views(flat: np.ndarray,
+                 layers: list[AffineLayer]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (weight, bias) pair of views into ``flat`` per layer, in order."""
+    views = []
+    at = 0
+    for layer in layers:
+        mid = at + layer.weight.size
+        end = mid + layer.bias.size
+        views.append((flat[at:mid].reshape(layer.weight.shape), flat[mid:end]))
+        at = end
+    return views
+
+
 def _stack_loss_and_grads(student: ToyHead, xb: np.ndarray,
                           teacher_taps: list[np.ndarray],
-                          lambdas: list[float],
-                          normalize: bool) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Batch loss plus per-layer weight and bias gradients (backprop)."""
+                          lambdas: list[float], normalize: bool,
+                          grads: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Batch loss; writes each layer's weight and bias gradient (backprop)
+    into that layer's pair in ``grads``."""
     outs = student.forward(xb)
     tap_pos = {j: k for k, j in enumerate(student.tap_indices)}
 
@@ -286,18 +300,17 @@ def _stack_loss_and_grads(student: ToyHead, xb: np.ndarray,
         loss += lam * float(np.sum(resid * resid)) / norm
         deltas[j] = (2.0 * lam / norm) * resid
 
-    grad_w = [np.zeros_like(l.weight) for l in student.layers]
-    grad_b = [np.zeros_like(l.bias) for l in student.layers]
     acc = np.zeros_like(outs[-1])
     for l in range(len(student.layers) - 1, -1, -1):
         if deltas[l] is not None:
             acc = acc + deltas[l]
         h_prev = xb if l == 0 else outs[l - 1]
-        grad_w[l] = acc.T @ h_prev
-        grad_b[l] = acc.sum(axis=0)
+        grad_w, grad_b = grads[l]
+        grad_w[...] = acc.T @ h_prev
+        grad_b[...] = acc.sum(axis=0)
         if l > 0:
             acc = acc @ student.layers[l].weight
-    return loss, grad_w, grad_b
+    return loss
 
 
 def train_toy(teacher: ToyHead, student: ToyHead, dataset,
@@ -308,6 +321,10 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
     Batch losses are summed, not averaged, within a batch; the reported
     per-epoch value is the mean of those batch sums. Batches are taken in
     dataset order, so a run is fully determined by (student init, cfg).
+
+    Every weight and bias of the returned student is a view into one flat
+    parameter vector, and backprop writes into views of a matching flat
+    gradient, so each step is one elementwise Adam update over the vector.
     """
     if teacher.tap_dims() != student.tap_dims():
         raise ShapeError(
@@ -322,12 +339,14 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
         raise ArgumentError("need one scale factor per tap")
 
     x = _as_data_matrix(dataset)
-    student = student.copy()
-    params = []
-    for layer in student.layers:
-        params.extend([layer.weight, layer.bias])
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    theta = np.concatenate([p.ravel() for layer in student.layers
+                            for p in (layer.weight, layer.bias)])
+    grad = np.zeros_like(theta)
+    grads = _layer_views(grad, student.layers)
+    student = ToyHead([AffineLayer(w, b) for w, b in _layer_views(theta, student.layers)],
+                      student.tap_indices, student.bottleneck_index)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
 
     n = x.shape[0]
     batches = [x[i:i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
@@ -341,21 +360,16 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
             lr *= cfg.lr_decay_factor
         epoch_losses = []
         for bi, xb in enumerate(batches):
-            loss, gw, gb = _stack_loss_and_grads(
-                student, xb, teacher_taps[bi], lambdas, normalize)
-            epoch_losses.append(loss)
-            grads = []
-            for w, b in zip(gw, gb):
-                grads.extend([w, b])
+            epoch_losses.append(_stack_loss_and_grads(
+                student, xb, teacher_taps[bi], lambdas, normalize, grads))
             step += 1
             b1c = 1.0 - cfg.adam_beta1 ** step
             b2c = 1.0 - cfg.adam_beta2 ** step
-            for p, g, mi, vi in zip(params, grads, m, v):
-                mi *= cfg.adam_beta1
-                mi += (1.0 - cfg.adam_beta1) * g
-                vi *= cfg.adam_beta2
-                vi += (1.0 - cfg.adam_beta2) * g * g
-                p -= lr * (mi / b1c) / (np.sqrt(vi / b2c) + cfg.adam_eps)
+            m *= cfg.adam_beta1
+            m += (1.0 - cfg.adam_beta1) * grad
+            v *= cfg.adam_beta2
+            v += (1.0 - cfg.adam_beta2) * grad * grad
+            theta -= lr * (m / b1c) / (np.sqrt(v / b2c) + cfg.adam_eps)
         history.append(EpochStats(epoch, float(np.mean(epoch_losses)), lr))
     return student, history
 

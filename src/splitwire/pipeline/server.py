@@ -69,12 +69,15 @@ class PipelineServer:
         return self._listener.getsockname()[:2]
 
     def start(self) -> "PipelineServer":
+        listener = None
         try:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((self.host, self.port))
             listener.listen(16)
         except OSError as exc:
+            if listener is not None:
+                listener.close()
             raise TransportError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
         listener.settimeout(0.2)
         self._listener = listener

@@ -2,8 +2,11 @@
 
 Two transports:
 
-* ``simulated`` - uplink seconds come from latency.transfer_time, so a run
-  is a deterministic function of (images, profile, channel, filter, seed).
+* ``simulated`` - nothing is quantized or framed. A kept image is charged
+  the closed-form frame size, wire_header_bytes(rank) + numel * width // 8,
+  which is len() of the frame socket mode would send at any width, and its
+  uplink seconds come from latency.transfer_time. A run is a deterministic
+  function of (images, profile, channel, filter, seed).
 * ``socket``    - frames go over a real TCP stream to a PipelineServer,
   paced by a token bucket at the channel rate; uplink seconds are measured
   wall clock, while head and tail compute stay virtual (from the profile).
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import QuantizedTensor, dequantize, quantize8, quantize16, passthrough32
+from ..codec import (QuantizedTensor, dequantize, quantize8, quantize16, passthrough32,
+                     wire_header_bytes)
 from ..errors import ArgumentError, ProtocolError, TransportError
 from ..latency import ChannelModel, ExecutionProfile, transfer_time
 from ..tensor import Shape, Tensor, random_fill
@@ -135,9 +139,7 @@ def _quantize_for_width(t: Tensor, width: int):
         return quantize8(t)
     if width == 16:
         return quantize16(t)
-    if width == 32:
-        return passthrough32(t)
-    raise ArgumentError(f"width must be 8, 16 or 32, got {width}")
+    return passthrough32(t)
 
 
 def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
@@ -150,6 +152,8 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
         raise ArgumentError(f"mode must be 'simulated' or 'socket', got {mode!r}")
     if not images:
         raise ArgumentError("need at least one image")
+    if width not in (8, 16, 32):
+        raise ArgumentError(f"width must be 8, 16 or 32, got {width}")
 
     rng = np.random.default_rng([0x5C0FE5, seed])
     labels = np.array([empty for _, empty in images], dtype=bool)
@@ -176,13 +180,15 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
                 records.append(ImageRecord(i, True, 0, head_s, 0.0, 0.0))
                 continue
 
-            q = _quantize_for_width(img, width)
-            frame = encode_message(quantized_to_message(q))
             if mode == "simulated":
-                uplink = transfer_time(len(frame), ch)
+                size = wire_header_bytes(img.shape.rank) + img.numel * width // 8
+                uplink = transfer_time(size, ch)
             else:
+                q = _quantize_for_width(img, width)
+                frame = encode_message(quantized_to_message(q))
+                size = len(frame)
                 uplink = _socket_round_trip(sock, bucket, frame, q, i)
-            records.append(ImageRecord(i, False, len(frame),
+            records.append(ImageRecord(i, False, size,
                                        head_s, uplink, prof.t_tail))
     finally:
         if sock is not None:

@@ -1,5 +1,6 @@
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,7 +316,7 @@ def test_reference_config_is_valid():
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    doc = json.loads(open(reference_config_path()).read())
+    doc = json.loads(Path(reference_config_path()).read_text())
     doc["queueing"] = {"model": "mm1"}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -324,7 +325,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_config_netspec_section_round_trips(tmp_path):
-    doc = json.loads(open(reference_config_path()).read())
+    doc = json.loads(Path(reference_config_path()).read_text())
     doc["netspecs"] = {"tiny": [{"kind": "conv", "oc": 2, "k": 1}]}
     path = tmp_path / "with_spec.json"
     path.write_text(json.dumps(doc))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -197,10 +199,13 @@ def test_backprop_weight_gradients_match_finite_differences():
     targets = teacher.tap_outputs(xb)
     lambdas = [0.7, 1.3]
 
-    _, gw, gb = _stack_loss_and_grads(student, xb, targets, lambdas, False)
+    grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in student.layers]
+    _stack_loss_and_grads(student, xb, targets, lambdas, False, grads)
+    gw = [w.copy() for w, _ in grads]
+    gb = [b.copy() for _, b in grads]
 
     def loss_now():
-        return _stack_loss_and_grads(student, xb, targets, lambdas, False)[0]
+        return _stack_loss_and_grads(student, xb, targets, lambdas, False, grads)
 
     h = 1e-6
     for l, layer in enumerate(student.layers):
@@ -223,6 +228,28 @@ def test_backprop_weight_gradients_match_finite_differences():
 def test_train_rejects_zero_epochs():
     with pytest.raises(ArgumentError):
         TrainConfig(epochs=0)
+
+
+# SHA-256 of every final weight and bias, then of repr((epoch, mean_loss, lr))
+# for each epoch, from the per-array Adam trainer this flat one replaced
+TRAINED_DIGESTS = {
+    "rank2_full": "d5c0302dfcb9953710f7d9e987d4aba5816434e469c1fed659819a008e61b295",
+    "rank3_bneck1": "816b87a381188cdd8b33380d5865ed736c75a26f55cb3f613ac83358eded5d8b",
+    "rank4_bneck2": "53a8ee7a81b7e087a4a6f997ea81beaf7d2bb715822f58d5992c15bab833b8c4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINED_DIGESTS))
+def test_trained_fixture_is_bit_identical(name):
+    fx = get_fixture(name)
+    student, history = train_toy(fx.teacher, fx.student, fx.data, fx.cfg)
+    h = hashlib.sha256()
+    for layer in student.layers:
+        h.update(layer.weight.tobytes())
+        h.update(layer.bias.tobytes())
+    for e in history:
+        h.update(repr((e.epoch, e.mean_loss, e.lr)).encode())
+    assert h.hexdigest() == TRAINED_DIGESTS[name]
 
 
 def test_train_rejects_tap_misalignment():

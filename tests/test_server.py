@@ -1,7 +1,9 @@
+import gc
 import socket
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +170,17 @@ def test_bind_failure_raises_transport_error():
         host, port = srv.address
         with pytest.raises(TransportError):
             PipelineServer(host=host, port=port, prof=PROF).start()
+
+
+def test_bind_failure_closes_the_listener():
+    with PipelineServer(prof=PROF) as srv:
+        host, port = srv.address
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TransportError):
+                PipelineServer(host=host, port=port, prof=PROF).start()
+            gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_wire_valid_but_codec_invalid_frame_closes_connection():

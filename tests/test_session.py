@@ -5,14 +5,17 @@ import threading
 import numpy as np
 import pytest
 
-from splitwire.codec import wire_header_bytes
+from splitwire.codec import passthrough32, quantize8, quantize16, wire_header_bytes
 from splitwire.errors import ArgumentError, ProtocolError, TransportError
-from splitwire.latency import ChannelModel, ExecutionProfile, PayloadSizes, total_delay
+from splitwire.latency import (ChannelModel, ExecutionProfile, PayloadSizes, total_delay,
+                               transfer_time)
 from splitwire.pipeline import session
 from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
-from splitwire.pipeline.wire import MAGIC, detection_result_message, encode_message
+from splitwire.pipeline.wire import (MAGIC, detection_result_message, encode_message,
+                                    quantized_to_message)
+from splitwire.tensor import Shape, make_tensor, random_fill
 
 PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
                         t_tail=0.04, t_filter_extra=0.004)
@@ -90,6 +93,30 @@ def test_widths_16_and_32_change_frame_size():
     header = wire_header_bytes(3)
     assert sizes == {8: numel + header, 16: 2 * numel + header,
                      32: 4 * numel + header}
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_simulated_bytes_are_the_real_frame_size(width):
+    shapes = [[7], [3, 5], [2, 3, 4], [2, 1, 3, 2]]
+    images = [(random_fill(Shape(dims), 40 + k, -1.0, 1.0), False)
+              for k, dims in enumerate(shapes)]
+    images.append((make_tensor([2, 3], [0.25] * 6), False))
+    log = run_session(images, PROF, CH, SHARP_FM, mode="simulated", seed=17, width=width)
+    quantize = {8: quantize8, 16: quantize16, 32: passthrough32}[width]
+    for (img, _), r in zip(images, log.records):
+        assert not r.filtered
+        assert r.bytes_sent == len(encode_message(quantized_to_message(quantize(img))))
+        assert r.t_uplink == transfer_time(r.bytes_sent, CH)
+
+
+def test_bad_width_raises_even_when_every_image_is_dropped():
+    drop_all = FilterModel(threshold=1.0, p_empty=0.5, mu_empty=-30.0,
+                           sigma_empty=0.1, mu_nonempty=30.0, sigma_nonempty=0.1)
+    images = [(img, True) for img, _ in make_stream(4, [3, 2, 2], 1.0, seed=18)]
+    log = run_session(images, PROF, CH, drop_all, mode="simulated", seed=19)
+    assert log.drop_rate == 1.0
+    with pytest.raises(ArgumentError):
+        run_session(images, PROF, CH, drop_all, mode="simulated", seed=19, width=12)
 
 
 def test_make_stream_respects_prior_and_determinism():
