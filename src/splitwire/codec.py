@@ -106,14 +106,15 @@ def quantize8(t: Tensor, symmetric: bool = False) -> QuantizedTensor:
         return _quantize8_constant(t, m, symmetric)
 
     if symmetric:
-        top = max(big, 0.0)
-        scale = float(np.float32(top / 255.0)) if top > 0.0 else 1.0
-        zero_point = 0
+        scale = float(np.float32(big / 255.0)) if big > 0.0 else 1.0
     else:
         lo = min(m, 0.0)
-        hi = max(big, 0.0)
-        scale = float(np.float32((hi - lo) / 255.0))
-        zero_point = int(np.clip(round(-lo / scale), 0, 255))
+        scale = float(np.float32((max(big, 0.0) - lo) / 255.0))
+    if scale == 0.0:
+        raise CodecError(
+            f"value range [{m:g}, {big:g}] is too narrow: the binary32 scale underflows to 0"
+        )
+    zero_point = 0 if symmetric else int(np.clip(round(-lo / scale), 0, 255))
 
     q = x.astype(np.float64)
     q /= scale
@@ -155,13 +156,23 @@ def quantize16(t: Tensor) -> QuantizedTensor:
 
 def passthrough32(t: Tensor) -> QuantizedTensor:
     """Identity passthrough: raw little-endian float32 payload."""
-    return QuantizedTensor(t.shape, 32, 1.0, 0, t.data.astype("<f4").tobytes())
+    return QuantizedTensor(t.shape, 32, 1.0, 0, t.data.astype("<f4", copy=False).tobytes())
 
 
 def dequantize(q: QuantizedTensor) -> Tensor:
     """Invert quantize8/quantize16/passthrough32.
 
-    Raises CodecError when a dequantized value is NaN or infinite.
+    Width 8 is ``float32(level - zero_point) * float32(scale)`` in float32
+    arithmetic, bit-identical to rounding the float64 product ``scale *
+    (level - zero_point)`` to float32 once. ``level - zero_point`` is an
+    integer of magnitude <= 255, exact in float32; ``scale`` is binary32, so
+    the exact product has at most 24 + 8 significant bits and is exact in
+    float64. Both paths therefore round the same exact value once, to
+    nearest-even, including overflow to Inf and subnormal results.
+
+    Raises CodecError when a dequantized value is NaN or infinite. The
+    returned tensor owns a freshly allocated array; it shares no memory with
+    ``q.payload``.
     """
     expected = q.numel * (q.width // 8)
     if len(q.payload) != expected:
@@ -169,20 +180,22 @@ def dequantize(q: QuantizedTensor) -> Tensor:
             f"corrupt payload: {len(q.payload)} bytes, expected {expected}"
         )
     if q.width == 8:
-        # One float32 value per level. scale is binary32 and |level - zp| <= 255,
-        # so each float64 product is exact and the table holds what a
-        # per-element evaluation gives. Entries of levels the payload never
-        # uses may overflow, so the gathered values are checked only then.
+        levels = np.frombuffer(q.payload, dtype=np.uint8)
+        scale = np.float32(q.scale)
+        # Rounding is monotone, so when the product at the level farthest
+        # from the zero point is finite, every product is; only then may the
+        # payload's own values go unchecked.
         with np.errstate(over="ignore"):
-            table = (q.scale * (np.arange(256.0) - q.zero_point)).astype(np.float32)
-        vals = table.take(np.frombuffer(q.payload, dtype=np.uint8))
-        finite = np.isfinite(table).all() or np.isfinite(vals).all()
+            vals = np.subtract(levels, np.float32(q.zero_point), dtype=np.float32)
+            vals *= scale
+            finite = (np.isfinite(scale * np.float32(max(q.zero_point, 255 - q.zero_point)))
+                      or np.isfinite(vals).all())
     else:
         vals = np.frombuffer(q.payload, dtype=f"<f{q.width // 8}").astype(np.float32)
         finite = np.isfinite(vals).all()
     if not finite:
         raise CodecError(f"width-{q.width} payload dequantizes to NaN or Inf")
-    return Tensor(q.shape, vals)
+    return Tensor._adopt(q.shape, vals)
 
 
 def data_size(q: QuantizedTensor, reference_bytes: int | None = None) -> SizeReport:

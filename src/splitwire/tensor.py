@@ -53,11 +53,27 @@ class Shape:
 
 
 class Tensor:
-    """Immutable rank-N array of finite float32 values."""
+    """Immutable rank-N array of finite float32 values.
+
+    A tensor owns its array and marks it read-only. ``Tensor(shape, data)``
+    copies ``data``, so the caller may go on writing to its array. Code in
+    this package that has just allocated an array and hands it over keeps it
+    with ``Tensor._adopt`` instead, without the copy.
+    """
 
     __slots__ = ("shape", "_data")
 
     def __init__(self, shape: Shape, data: np.ndarray):
+        self._hold(shape, data, copy=True)
+
+    @classmethod
+    def _adopt(cls, shape: Shape, data: np.ndarray) -> "Tensor":
+        """Keep ``data`` itself; no other reference to it may write to it."""
+        t = cls.__new__(cls)
+        t._hold(shape, data, copy=False)
+        return t
+
+    def _hold(self, shape: Shape, data: np.ndarray, copy: bool) -> None:
         if data.dtype != np.float32 or data.ndim != 1:
             raise ShapeError("tensor data must be a flat float32 array")
         if data.size != shape.numel:
@@ -65,7 +81,8 @@ class Tensor:
                 f"data length {data.size} does not match shape {shape} "
                 f"(numel {shape.numel})"
             )
-        data = data.copy()
+        if copy:
+            data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_data", data)
@@ -158,4 +175,4 @@ def random_fill(shape: Shape | Sequence[int], seed: int, lo: float, hi: float) -
     # float32 rounding may land exactly on hi; pull those back inside.
     upper = np.nextafter(np.float32(hi), np.float32(lo))
     np.minimum(vals, upper, out=vals)
-    return Tensor(shape, vals)
+    return Tensor._adopt(shape, vals)

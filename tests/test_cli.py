@@ -119,6 +119,15 @@ def test_codec_quantize_nan_input_exits_3(tmp_path, capsys, width):
     assert "NaN" in capsys.readouterr().err
 
 
+def test_codec_quantize_underflowing_scale_exits_3(tmp_path, capsys):
+    tiny = tmp_path / "tiny.bin"
+    vals = np.array([0.0, 1e-45], dtype="<f4")
+    save_message(str(tiny), WireMessage(MsgType.FTENSOR32, (2,), 1.0, 0, vals.tobytes()))
+    assert run(["codec", "quantize", "--in", str(tiny),
+                "--out", str(tmp_path / "out.bin"), "--width", "8"]) == 3
+    assert "underflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("msg_type, dtype", [(MsgType.QTENSOR16, "<f2"),
                                              (MsgType.FTENSOR32, "<f4")],
                          ids=["qtensor16", "ftensor32"])

@@ -151,6 +151,22 @@ def test_symmetric_mode_has_no_zero_point():
     assert err <= q.scale / 2 + 1e-6
 
 
+@pytest.mark.parametrize("symmetric", [False, True], ids=["affine", "symmetric"])
+def test_quantize8_underflowing_scale_raises_codec_error(symmetric):
+    # (1e-45 - 0) / 255 rounds to a binary32 scale of 0
+    t = make_tensor([2], [0.0, 1e-45])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CodecError, match="underflows"):
+            quantize8(t, symmetric=symmetric)
+
+
+def test_symmetric_mode_clips_in_float64_before_narrowing():
+    # -1e6 / scale is about -2.6e11: it must clip to level 0, not wrap
+    q = quantize8(make_tensor([3], [-1e6, 0.0, 1e-3]), symmetric=True)
+    assert list(q.payload) == [0, 0, 255]
+
+
 # --- quantize16 -----------------------------------------------------------------
 
 def test_quantize16_exact_for_representable_values():
@@ -223,6 +239,8 @@ _FLT_MAX = float(np.finfo(np.float32).max)
     (float(np.float32(1e-30)), 37),
     (float(np.float32(_FLT_MAX / 255.0)), 0),
     (float(np.float32(_FLT_MAX / 255.0)), 255),
+    (float(np.float32(1e-45)), 128),  # subnormal scale
+    (float(np.float32(1e-40)), 0),  # products cross from subnormal to normal
 ])
 def test_width8_dequantize_bits_match_float64_formula(scale, zero_point):
     levels = np.random.default_rng(23).permutation(np.tile(np.arange(256), 2))
@@ -248,8 +266,19 @@ def test_width8_large_constant_dequantizes_without_warning():
 ], ids=["qtensor8_overflow", "qtensor16_nan", "ftensor32_inf"])
 def test_dequantize_rejects_non_finite_values(msg_type, scale, payload):
     q = message_to_quantized(WireMessage(msg_type, (1,), scale, 0, payload))
-    with pytest.raises(CodecError, match="NaN or Inf"):
-        dequantize(q)
+    # the error is the only signal: no floating-point warning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CodecError, match="NaN or Inf"):
+            dequantize(q)
+
+
+@pytest.mark.parametrize("quantize", [quantize8, quantize16, passthrough32])
+def test_dequantized_tensor_is_read_only_and_owns_its_array(quantize):
+    q = quantize(random_fill(Shape([3, 5]), seed=24, lo=-1.0, hi=1.0))
+    data = dequantize(q).data
+    assert not data.flags.writeable
+    assert not np.shares_memory(data, np.frombuffer(q.payload, dtype=np.uint8))
 
 
 # --- sizes ----------------------------------------------------------------------

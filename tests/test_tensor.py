@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitwire.errors import RangeError, ShapeError
-from splitwire.tensor import Shape, make_tensor, random_fill, sq_sum, sub
+from splitwire.tensor import Shape, Tensor, make_tensor, random_fill, sq_sum, sub
 
 
 def test_make_tensor_constructor_identity():
@@ -72,6 +72,14 @@ def test_tensor_is_immutable():
         t.data[0] = 5.0
     with pytest.raises(AttributeError):
         t.shape = Shape([3])
+
+
+def test_tensor_constructor_copies_its_input():
+    arr = np.arange(4, dtype=np.float32)
+    t = Tensor(Shape([4]), arr)
+    arr[0] = 99.0
+    assert t.data.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert not t.data.flags.writeable
 
 
 def test_random_fill_deterministic():

@@ -54,6 +54,12 @@ def test_header_stays_under_64_byte_budget():
     assert m.header_bytes == wire_header_bytes(MAX_NDIM) == 55 <= 64
 
 
+@pytest.mark.parametrize("rank", range(1, MAX_NDIM + 1))
+def test_encoded_header_size_matches_wire_header_bytes(rank):
+    m = qmsg([2] * rank, seed=rank)
+    assert len(encode_message(m)) - len(m.payload) == wire_header_bytes(rank)
+
+
 def test_corrupt_magic_rejected():
     raw = bytearray(encode_message(qmsg([4])))
     raw[:4] = b"XXXX"
