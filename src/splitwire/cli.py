@@ -8,6 +8,7 @@ configuration in simulated modes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -46,6 +47,17 @@ def _resolve_config(args) -> Config:
     return load_config(path)
 
 
+def _parse_rate(token: str, text: str) -> float:
+    try:
+        rate = float(token)
+    except ValueError:
+        raise ArgumentError(f"bad rate {token!r} in {text!r}") from None
+    # a NaN or Inf bound or step would make the range loop below endless
+    if not math.isfinite(rate):
+        raise ArgumentError(f"rates must be finite, got {text!r}")
+    return rate
+
+
 def _parse_rates_mbps(text: str) -> list[float]:
     """Accepts '0.5..10:0.5' (inclusive range) or a comma list like '1,2,5'."""
     if ".." in text:
@@ -53,7 +65,7 @@ def _parse_rates_mbps(text: str) -> list[float]:
         if not step_s:
             raise ArgumentError(f"range rates need a step, e.g. 0.5..10:0.5 (got {text!r})")
         lo_s, _, hi_s = span.partition("..")
-        lo, hi, step = float(lo_s), float(hi_s), float(step_s)
+        lo, hi, step = (_parse_rate(tok, text) for tok in (lo_s, hi_s, step_s))
         if step <= 0 or hi < lo:
             raise ArgumentError(f"bad rate range {text!r}")
         rates = []
@@ -65,7 +77,7 @@ def _parse_rates_mbps(text: str) -> list[float]:
             rates.append(r)
             k += 1
         return rates
-    rates = [float(tok) for tok in text.split(",") if tok.strip()]
+    rates = [_parse_rate(tok, text) for tok in text.split(",") if tok.strip()]
     if not rates:
         raise ArgumentError("no rates given")
     if any(r <= 0 for r in rates):
@@ -82,8 +94,8 @@ def _parse_chw(text: str) -> Shape:
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port_s = text.rpartition(":")
-    if not host or not port_s.isdigit():
-        raise ArgumentError(f"bad address {text!r}, expected HOST:PORT")
+    if not host or not port_s.isdecimal() or int(port_s) > 65535:
+        raise ArgumentError(f"bad address {text!r}, expected HOST:PORT with PORT 0-65535")
     return host, int(port_s)
 
 
@@ -286,6 +298,11 @@ def main(argv=None) -> int:
     except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    # after TransportError, which is an OSError: what is left is a file
+    # named on the command line that cannot be read or written
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,7 @@ Toy models are stacks of affine maps. That scale is enough to exercise the
 loss math and the rank-limited compression behaviour of a narrow bottleneck
 layer, and it admits a closed-form verification oracle: the best rank-b
 linear approximation error (sum of squared trailing singular values),
-computed here by an independent one-sided Jacobi SVD.
+computed by LAPACK's SVD, which shares no code with the Adam trainer.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "train_toy",
     "evaluate_loss",
     "eckart_young_bound",
-    "jacobi_singular_values",
     "write_history_csv",
     "fixture_names",
     "get_fixture",
@@ -199,13 +198,6 @@ class ToyHead:
         outs = self.forward(x)
         return [outs[j] for j in self.tap_indices]
 
-    def copy(self) -> "ToyHead":
-        return ToyHead(
-            [AffineLayer(l.weight.copy(), l.bias.copy()) for l in self.layers],
-            self.tap_indices,
-            self.bottleneck_index,
-        )
-
     @classmethod
     def random(cls, dims: list[int], tap_indices: tuple[int, ...],
                bottleneck_index: int | None, seed: int,
@@ -221,6 +213,11 @@ class ToyHead:
 
 # --- training ---------------------------------------------------------------
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
@@ -228,9 +225,6 @@ class TrainConfig:
     lr0: float = 1e-3
     lr_decay_factor: float = 0.1
     decay_epochs: tuple[int, ...] = (5, 15)
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -253,20 +247,13 @@ class EpochStats:
 
 
 def _as_data_matrix(dataset) -> np.ndarray:
-    if isinstance(dataset, np.ndarray):
-        x = np.asarray(dataset, dtype=np.float64)
-        if x.ndim != 2:
-            raise ShapeError("dataset array must be 2-D (samples, features)")
-        return x
-    rows = []
-    for item in dataset:
-        if isinstance(item, Tensor):
-            rows.append(item.data.astype(np.float64))
-        else:
-            rows.append(np.asarray(item, dtype=np.float64).reshape(-1))
-    if not rows:
+    """The dataset as a float64 (samples, features) array."""
+    x = np.asarray(dataset, dtype=np.float64)
+    if x.size == 0:
         raise ArgumentError("dataset is empty")
-    return np.stack(rows)
+    if x.ndim != 2:
+        raise ShapeError("dataset array must be 2-D (samples, features)")
+    return x
 
 
 def _layer_views(flat: np.ndarray,
@@ -363,13 +350,13 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
             epoch_losses.append(_stack_loss_and_grads(
                 student, xb, teacher_taps[bi], lambdas, normalize, grads))
             step += 1
-            b1c = 1.0 - cfg.adam_beta1 ** step
-            b2c = 1.0 - cfg.adam_beta2 ** step
-            m *= cfg.adam_beta1
-            m += (1.0 - cfg.adam_beta1) * grad
-            v *= cfg.adam_beta2
-            v += (1.0 - cfg.adam_beta2) * grad * grad
-            theta -= lr * (m / b1c) / (np.sqrt(v / b2c) + cfg.adam_eps)
+            b1c = 1.0 - _ADAM_BETA1 ** step
+            b2c = 1.0 - _ADAM_BETA2 ** step
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * grad
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * grad * grad
+            theta -= lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
         history.append(EpochStats(epoch, float(np.mean(epoch_losses)), lr))
     return student, history
 
@@ -402,48 +389,6 @@ def write_history_csv(history: list[EpochStats], path: str) -> None:
 
 # --- Eckart-Young verification oracle ---------------------------------------
 
-def jacobi_singular_values(mat: np.ndarray, tol: float = 1e-12,
-                           max_sweeps: int = 60) -> np.ndarray:
-    """Singular values by one-sided Jacobi rotations (no LAPACK).
-
-    Orthogonalizes columns pairwise until every pair is numerically
-    orthogonal; the singular values are then the column norms.
-    """
-    a = np.asarray(mat, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError("need a 2-D matrix")
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    a = a.copy()
-    n = a.shape[1]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                ap = a[:, p]
-                aq = a[:, q]
-                alpha = float(ap @ ap)
-                beta = float(aq @ aq)
-                gamma = float(ap @ aq)
-                denom = np.sqrt(alpha * beta)
-                if denom == 0.0 or abs(gamma) <= tol * denom:
-                    continue
-                off = max(off, abs(gamma) / denom)
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                new_p = c * ap - s * aq
-                new_q = s * ap + c * aq
-                a[:, p] = new_p
-                a[:, q] = new_q
-        if off <= tol:
-            break
-    sv = np.sqrt(np.sum(a * a, axis=0))
-    sv.sort()
-    return sv[::-1]
-
-
 def eckart_young_bound(a: np.ndarray, x: np.ndarray, b: int) -> float:
     """Minimum of sum_x ||A x - S x||^2 over rank-b maps S.
 
@@ -455,7 +400,9 @@ def eckart_young_bound(a: np.ndarray, x: np.ndarray, b: int) -> float:
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     g = a @ x.T
-    sv = jacobi_singular_values(g)
+    if g.ndim != 2:
+        raise ShapeError("need a 2-D matrix")
+    sv = np.linalg.svd(g, compute_uv=False)
     if b >= sv.size:
         return 0.0
     tail = sv[b:]

@@ -74,6 +74,13 @@ def test_sweep_bad_rate_text_exits_2(tmp_path, ref_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("rates", ["abc", "1..x:1", "nan", "1,inf"])
+def test_sweep_unparsable_or_non_finite_rate_exits_2(tmp_path, ref_path, capsys, rates):
+    assert run(["sweep", "--config", ref_path, "--rates", rates,
+                "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # --- codec ----------------------------------------------------------------------
 
 def test_codec_quantize_then_dequantize_bounds_error(tmp_path, tensor_file, capsys):
@@ -273,6 +280,16 @@ def test_client_zero_images_exits_2(tmp_path, ref_path):
                 "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", ["serve", "client"])
+@pytest.mark.parametrize("port", ["99999", "\u00b2"], ids=["99999", "superscript-two"])
+def test_port_outside_0_to_65535_exits_2(tmp_path, ref_path, capsys, command, port):
+    args = [command, "--config", ref_path, "--addr", f"127.0.0.1:{port}"]
+    if command == "client":
+        args += ["--n", "1", "--out", str(tmp_path / "x.csv")]
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error: bad address")
+
+
 def test_serve_bind_conflict_exits_4(ref_path):
     with PipelineServer() as srv:
         host, port = srv.address
@@ -308,6 +325,54 @@ def test_serve_then_client_over_cli(tmp_path, ref_path):
         time.sleep(0.1)
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 6
+
+
+# --- file errors -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["codec-missing-in", "codec-directory-in", "sweep-out",
+                                  "distill-out", "client-out"])
+def test_unusable_file_exits_2_with_one_error_line(tmp_path, ref_path, capsys, case):
+    missing = str(tmp_path / "no-such-dir" / "x")
+    args = {
+        "codec-missing-in": ["codec", "quantize", "--in", missing,
+                             "--out", str(tmp_path / "q.bin")],
+        "codec-directory-in": ["codec", "dequantize", "--in", str(tmp_path),
+                               "--out", str(tmp_path / "t.bin")],
+        "sweep-out": ["sweep", "--config", ref_path, "--rates", "1,2", "--out", missing],
+        "distill-out": ["distill", "--fixture", "rank2_full", "--epochs", "1",
+                        "--out", missing],
+        "client-out": ["client", "--config", ref_path, "--mode", "simulated",
+                       "--n", "2", "--out", missing],
+    }[case]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# --- README examples --------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("command", ["splitwire distill --fixture rank3_bneck1",
+                                     "splitwire netspec --spec student_l1 --input 3x874x1044"])
+def test_readme_example_prints_what_readme_shows(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("SPLITWIRE_CONFIG", raising=False)
+    lines = README.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(command))
+    shown = []
+    for line in lines[at + 1:]:
+        if not line.startswith("# "):
+            break
+        if ": " in line:
+            shown.append(line[2:])
+    assert shown
+    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in lines[at].split()[1:]]
+    assert run(args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for line in shown:
+        assert line in printed
 
 
 # --- config plumbing ------------------------------------------------------------------

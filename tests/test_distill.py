@@ -12,7 +12,6 @@ from splitwire.distill import (
     evaluate_loss,
     generalized_loss,
     get_fixture,
-    jacobi_singular_values,
     loss_grad,
     sse_loss,
     train_toy,
@@ -252,6 +251,17 @@ def test_trained_fixture_is_bit_identical(name):
     assert h.hexdigest() == TRAINED_DIGESTS[name]
 
 
+@pytest.mark.parametrize("data, error", [([], ArgumentError),
+                                         (np.zeros((0, 5)), ArgumentError),
+                                         (np.ones(5), ShapeError),
+                                         (np.ones((2, 4, 5)), ShapeError)],
+                         ids=["empty-list", "zero-rows", "1-D", "3-D"])
+def test_train_rejects_malformed_dataset(data, error):
+    fx = get_fixture("rank2_full")
+    with pytest.raises(error):
+        train_toy(fx.teacher, fx.student, data, fx.cfg)
+
+
 def test_train_rejects_tap_misalignment():
     fx = get_fixture("rank2_full")
     bad_student = ToyHead.random([5, 3, 7], tap_indices=(1,),
@@ -366,31 +376,24 @@ def brute_force_rank_b(m_target, b, restarts=8, iters=400, seed=0):
     return best
 
 
-def test_bound_matches_brute_force_minimization():
+@pytest.mark.parametrize("a_shape, x_shape", [((5, 5), (12, 5)),
+                                              ((8, 4), (3, 4)),
+                                              ((3, 6), (9, 6))],
+                         ids=["5x12", "tall-8x3", "wide-3x9"])
+def test_bound_matches_brute_force_minimization(a_shape, x_shape):
     rng = np.random.default_rng(42)
-    a = rng.normal(size=(5, 5))
-    x = rng.normal(size=(12, 5))
+    a = rng.normal(size=a_shape)
+    x = rng.normal(size=x_shape)
     bound = eckart_young_bound(a, x, 2)
     brute = brute_force_rank_b(a @ x.T, 2)
     assert brute == pytest.approx(bound, rel=0.01)
 
 
-def test_jacobi_matches_lapack_svd():
-    rng = np.random.default_rng(7)
-    for shape in ((5, 5), (8, 3), (3, 9), (1, 6)):
-        mat = rng.normal(size=shape)
-        ours = jacobi_singular_values(mat)
-        ref = np.linalg.svd(mat, compute_uv=False)
-        np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-12)
-
-
-def test_jacobi_handles_rank_deficiency():
-    mat = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-    sv = jacobi_singular_values(mat)
-    ref = np.linalg.svd(mat, compute_uv=False)
-    np.testing.assert_allclose(sv, ref, rtol=1e-9, atol=1e-10)
-
-
 def test_bound_rejects_negative_rank():
     with pytest.raises(ArgumentError):
         eckart_young_bound(np.eye(2), np.eye(2), -1)
+
+
+def test_bound_rejects_non_matrix_product():
+    with pytest.raises(ShapeError):
+        eckart_young_bound(np.ones(3), np.ones((4, 3)), 1)
