@@ -76,10 +76,10 @@ def _parse_rates_mbps(text: str) -> list[float]:
                 break
             rates.append(r)
             k += 1
-        return rates
-    rates = [_parse_rate(tok, text) for tok in text.split(",") if tok.strip()]
-    if not rates:
-        raise ArgumentError("no rates given")
+    else:
+        rates = [_parse_rate(tok, text) for tok in text.split(",") if tok.strip()]
+        if not rates:
+            raise ArgumentError("no rates given")
     if any(r <= 0 for r in rates):
         raise ArgumentError(f"rates must be positive Mbps values, got {text!r}")
     return rates
@@ -104,6 +104,8 @@ def _parse_addr(text: str) -> tuple[str, int]:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     rates = [r * 1e6 for r in _parse_rates_mbps(args.rates)]
+    if args.p_drop is not None and not 0.0 <= args.p_drop <= 1.0:
+        raise ArgumentError(f"--p-drop must be in [0, 1], got {args.p_drop}")
     p_drop = args.p_drop if args.p_drop is not None else cfg.filter.analytic_drop_rate()
     rows = latency.sweep(cfg.profile, cfg.sizes, args.width, rates, p_drop,
                          cfg.channel.fixed_latency_s)
@@ -119,7 +121,7 @@ def cmd_codec(args) -> int:
         tensor = wire.message_to_tensor(msg)
         q = codec.quantize8(tensor) if args.width == 8 else codec.quantize16(tensor)
         wire.save_message(args.out, wire.quantized_to_message(q))
-        report = codec.data_size(q, os.path.getsize(args.infile))
+        report = wire.data_size(q, os.path.getsize(args.infile))
         err = np.abs(codec.dequantize(q).data - tensor.data.astype(np.float64)).max()
         print(f"payload_bytes: {report.payload_bytes}")
         print(f"header_bytes: {report.header_bytes}")
@@ -173,6 +175,8 @@ def cmd_distill(args) -> int:
 
 def cmd_filter_metrics(args) -> int:
     cfg = _resolve_config(args)
+    if args.n < 1:
+        raise ArgumentError(f"--n must be >= 1, got {args.n}")
     seed = args.seed if args.seed is not None else cfg.seed
     gm = gate_metrics(cfg.filter, args.n, seed)
     print(f"n: {gm.n}")

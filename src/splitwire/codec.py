@@ -6,42 +6,29 @@ never exceeds scale/2 even for sign-definite tensors. Width 16 is a plain
 IEEE 754 binary16 cast with round-to-nearest-even; width 32 is an identity
 passthrough. Payload element order is row-major; 16- and 32-bit elements are
 stored little-endian.
+
+This module only quantizes: the frame a payload travels in, and its byte
+accounting, belong to ``splitwire.pipeline.wire``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CodecError, RangeError, ShapeError
+from .errors import CodecError, ShapeError
 from .tensor import Shape, Tensor
 
 __all__ = [
     "QuantizedTensor",
-    "SizeReport",
     "quantize8",
     "quantize16",
     "passthrough32",
     "dequantize",
-    "data_size",
-    "ratio_vs",
-    "wire_header_bytes",
 ]
 
 BINARY16_MAX = 65504.0
-
-# Framing overhead of the pipeline wire header, fixed at
-# magic(4) + version(1) + msg_type(1) + ndim(1) + 4*ndim dims
-# + scale(4) + zero_point(4) + payload_len(8). At most 55 bytes for
-# rank <= 8 tensors, inside the 64-byte budget ceiling.
-_HEADER_FIXED = 23
-
-
-def wire_header_bytes(ndim: int) -> int:
-    """Header byte count of a wire message carrying a rank-``ndim`` tensor."""
-    return _HEADER_FIXED + 4 * ndim
-
 
 @dataclass(frozen=True)
 class QuantizedTensor:
@@ -53,7 +40,6 @@ class QuantizedTensor:
     zero_point: int
     payload: bytes
     saturated: bool = False
-    symmetric: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.width not in (8, 16, 32):
@@ -76,25 +62,13 @@ class QuantizedTensor:
         return self.shape.numel
 
 
-@dataclass(frozen=True)
-class SizeReport:
-    """Byte accounting of one quantized message."""
+def quantize8(t: Tensor) -> QuantizedTensor:
+    """8-bit affine quantization over the value range widened to include 0.
 
-    payload_bytes: int
-    header_bytes: int
-    total_bytes: int
-    ratio_vs_reference: float
-
-
-def quantize8(t: Tensor, symmetric: bool = False) -> QuantizedTensor:
-    """8-bit affine quantization.
-
-    Default mode carries a zero point so asymmetric (post-ReLU style) value
-    ranges quantize well. ``symmetric=True`` is the strict single-float mode:
-    scale only, zero point fixed at 0, intended for nonnegative activations
-    (negative values saturate at 0).
-
-    Constant tensors take a degenerate rule chosen for an exact round trip.
+    The zero point lets asymmetric (post-ReLU style) value ranges use all 256
+    levels. Constant tensors take a degenerate rule chosen for an exact round
+    trip. Raises CodecError when the range is so narrow that the binary32
+    scale underflows to 0.
     """
     if t.numel < 1:
         raise ShapeError("cannot quantize an empty tensor")
@@ -103,41 +77,36 @@ def quantize8(t: Tensor, symmetric: bool = False) -> QuantizedTensor:
     big = float(x.max())
 
     if big == m:
-        return _quantize8_constant(t, m, symmetric)
+        return _quantize8_constant(t, m)
 
-    if symmetric:
-        scale = float(np.float32(big / 255.0)) if big > 0.0 else 1.0
-    else:
-        lo = min(m, 0.0)
-        scale = float(np.float32((max(big, 0.0) - lo) / 255.0))
+    lo = min(m, 0.0)
+    scale = float(np.float32((max(big, 0.0) - lo) / 255.0))
     if scale == 0.0:
         raise CodecError(
             f"value range [{m:g}, {big:g}] is too narrow: the binary32 scale underflows to 0"
         )
-    zero_point = 0 if symmetric else int(np.clip(round(-lo / scale), 0, 255))
+    zero_point = int(np.clip(round(-lo / scale), 0, 255))
 
     q = x.astype(np.float64)
     q /= scale
     np.rint(q, out=q)
     q += zero_point
+    # clipped in float64 so that no out-of-range level wraps in the uint8 cast
     np.clip(q, 0, 255, out=q)
     payload = q.astype(np.uint8).tobytes()
-    return QuantizedTensor(t.shape, 8, scale, zero_point, payload, symmetric=symmetric)
+    return QuantizedTensor(t.shape, 8, scale, zero_point, payload)
 
 
-def _quantize8_constant(t: Tensor, c: float, symmetric: bool) -> QuantizedTensor:
+def _quantize8_constant(t: Tensor, c: float) -> QuantizedTensor:
     # Exact round trip: dequantize gives scale * (q - zero_point) == c.
     if c == 0.0:
         scale, zp, level = 1.0, 0, 0
     elif c > 0.0:
         scale, zp, level = c, 0, 1
-    elif symmetric:
-        # Strict mode cannot represent negatives; saturate at zero.
-        scale, zp, level = 1.0, 0, 0
     else:
         scale, zp, level = -c, 1, 0
     payload = bytes([level]) * t.numel
-    return QuantizedTensor(t.shape, 8, scale, zp, payload, symmetric=symmetric)
+    return QuantizedTensor(t.shape, 8, scale, zp, payload)
 
 
 def quantize16(t: Tensor) -> QuantizedTensor:
@@ -196,23 +165,3 @@ def dequantize(q: QuantizedTensor) -> Tensor:
     if not finite:
         raise CodecError(f"width-{q.width} payload dequantizes to NaN or Inf")
     return Tensor._adopt(q.shape, vals)
-
-
-def data_size(q: QuantizedTensor, reference_bytes: int | None = None) -> SizeReport:
-    """Byte totals including the wire header; ratio is vs ``reference_bytes``
-    when given (1.0 otherwise)."""
-    payload = len(q.payload)
-    header = wire_header_bytes(q.shape.rank)
-    total = payload + header
-    if reference_bytes is None:
-        ratio = 1.0
-    else:
-        if reference_bytes <= 0:
-            raise RangeError(f"reference_bytes must be > 0, got {reference_bytes}")
-        ratio = total / reference_bytes
-    return SizeReport(payload, header, total, ratio)
-
-
-def ratio_vs(q: QuantizedTensor, reference_bytes: int) -> float:
-    """Total message bytes divided by a reference byte count."""
-    return data_size(q, reference_bytes).ratio_vs_reference

@@ -73,34 +73,21 @@ def sse_loss(t_out: Tensor, s_out: Tensor) -> float:
     return float(np.dot(d, d))
 
 
-def generalized_loss(taps: list[TapPoint], normalize: bool = False) -> float:
-    """Weighted sum of per-tap SSE losses.
-
-    ``normalize=True`` divides each tap's SSE by its element count; the
-    default is the plain unnormalized sum.
-    """
+def generalized_loss(taps: list[TapPoint]) -> float:
+    """Weighted sum of per-tap SSE losses."""
     if not taps:
         raise ArgumentError("need at least one tap point")
-    total = 0.0
-    for tap in taps:
-        term = sse_loss(tap.teacher_out, tap.student_out)
-        if normalize:
-            term /= tap.teacher_out.numel
-        total += tap.lam * term
-    return total
+    return sum(tap.lam * sse_loss(tap.teacher_out, tap.student_out) for tap in taps)
 
 
-def loss_grad(taps: list[TapPoint], normalize: bool = False) -> list[Tensor]:
+def loss_grad(taps: list[TapPoint]) -> list[Tensor]:
     """Gradient of generalized_loss w.r.t. each student tap output."""
     if not taps:
         raise ArgumentError("need at least one tap point")
     grads = []
     for tap in taps:
-        scale = 2.0 * tap.lam
-        if normalize:
-            scale /= tap.teacher_out.numel
-        g = scale * (tap.student_out.data.astype(np.float64)
-                     - tap.teacher_out.data.astype(np.float64))
+        g = 2.0 * tap.lam * (tap.student_out.data.astype(np.float64)
+                             - tap.teacher_out.data.astype(np.float64))
         grads.append(Tensor(tap.student_out.shape, g.astype(np.float32)))
     return grads
 
@@ -271,7 +258,7 @@ def _layer_views(flat: np.ndarray,
 
 def _stack_loss_and_grads(student: ToyHead, xb: np.ndarray,
                           teacher_taps: list[np.ndarray],
-                          lambdas: list[float], normalize: bool,
+                          lambdas: list[float],
                           grads: list[tuple[np.ndarray, np.ndarray]]) -> float:
     """Batch loss; writes each layer's weight and bias gradient (backprop)
     into that layer's pair in ``grads``."""
@@ -283,9 +270,8 @@ def _stack_loss_and_grads(student: ToyHead, xb: np.ndarray,
     for j, k in tap_pos.items():
         resid = outs[j] - teacher_taps[k]
         lam = lambdas[k]
-        norm = resid.size if normalize else 1.0
-        loss += lam * float(np.sum(resid * resid)) / norm
-        deltas[j] = (2.0 * lam / norm) * resid
+        loss += lam * float(np.sum(resid * resid))
+        deltas[j] = 2.0 * lam * resid
 
     acc = np.zeros_like(outs[-1])
     for l in range(len(student.layers) - 1, -1, -1):
@@ -301,8 +287,8 @@ def _stack_loss_and_grads(student: ToyHead, xb: np.ndarray,
 
 
 def train_toy(teacher: ToyHead, student: ToyHead, dataset,
-              cfg: TrainConfig, lambdas: list[float] | None = None,
-              normalize: bool = False) -> tuple[ToyHead, list[EpochStats]]:
+              cfg: TrainConfig,
+              lambdas: list[float] | None = None) -> tuple[ToyHead, list[EpochStats]]:
     """Adam-train a student stack to mimic a frozen teacher at its taps.
 
     Batch losses are summed, not averaged, within a batch; the reported
@@ -348,7 +334,7 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
         epoch_losses = []
         for bi, xb in enumerate(batches):
             epoch_losses.append(_stack_loss_and_grads(
-                student, xb, teacher_taps[bi], lambdas, normalize, grads))
+                student, xb, teacher_taps[bi], lambdas, grads))
             step += 1
             b1c = 1.0 - _ADAM_BETA1 ** step
             b2c = 1.0 - _ADAM_BETA2 ** step
@@ -362,8 +348,7 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
 
 
 def evaluate_loss(teacher: ToyHead, student: ToyHead, dataset,
-                  lambdas: list[float] | None = None,
-                  normalize: bool = False) -> float:
+                  lambdas: list[float] | None = None) -> float:
     """Generalized loss summed over the whole dataset as one batch."""
     if teacher.tap_dims() != student.tap_dims():
         raise ShapeError("tap misalignment between teacher and student")
@@ -374,8 +359,7 @@ def evaluate_loss(teacher: ToyHead, student: ToyHead, dataset,
     for lam, t_out, s_out in zip(lambdas, teacher.tap_outputs(x),
                                  student.tap_outputs(x)):
         resid = s_out - t_out
-        norm = resid.size if normalize else 1.0
-        total += lam * float(np.sum(resid * resid)) / norm
+        total += lam * float(np.sum(resid * resid))
     return total
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "ChannelModel",
     "PayloadSizes",
     "DelayBreakdown",
-    "FilterOutcomeModel",
     "SweepRow",
     "transfer_time",
     "total_delay",
@@ -102,17 +101,6 @@ class PayloadSizes:
 
 
 @dataclass(frozen=True)
-class FilterOutcomeModel:
-    """Probability that the prefilter drops an image."""
-
-    p_drop: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_drop <= 1.0:
-            raise RangeError(f"p_drop must be in [0, 1], got {self.p_drop}")
-
-
-@dataclass(frozen=True)
 class DelayBreakdown:
     """Named components of one capture-to-output delay, in seconds."""
 
@@ -155,7 +143,8 @@ def total_delay(strategy: str, prof: ExecutionProfile, ch: ChannelModel,
         up = transfer_time(sizes.bottleneck_bytes(width), ch)
         return DelayBreakdown("SC", prof.t_head, up, prof.t_tail, 0.0)
     if strategy == "SCNF":
-        FilterOutcomeModel(p_drop)  # range check
+        if not 0.0 <= p_drop <= 1.0:
+            raise RangeError(f"p_drop must be in [0, 1], got {p_drop}")
         keep = 1.0 - p_drop
         up = transfer_time(sizes.bottleneck_bytes(width), ch)
         return DelayBreakdown("SCNF", prof.t_head, keep * up,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RangeError
-from ..latency import FilterOutcomeModel
 
 __all__ = ["FilterModel", "GateMetrics", "filter_decide", "gate_metrics"]
 
@@ -60,9 +59,6 @@ class FilterModel:
         """Marginal drop probability under the empty-image prior."""
         return (self.p_empty * self.drop_probability(True)
                 + (1.0 - self.p_empty) * self.drop_probability(False))
-
-    def outcome_model(self) -> FilterOutcomeModel:
-        return FilterOutcomeModel(self.analytic_drop_rate())
 
 
 def _norm_cdf(z: float) -> float:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
 
 from ..codec import dequantize
-from ..errors import CodecError, ProtocolError, TransportError
+from ..errors import ArgumentError, CodecError, ProtocolError, TransportError
 from ..latency import ExecutionProfile
 from .session import read_frame
 from .wire import (
@@ -56,6 +57,14 @@ class PipelineServer:
     stats: list[ConnectionStats] = field(default_factory=list)
 
     def __post_init__(self):
+        # checked here: a handler thread would die on a bad timeout before it
+        # could close its connection
+        if self.tail_mode not in ("virtual", "sleep"):
+            raise ArgumentError(f"tail_mode must be 'virtual' or 'sleep', "
+                                f"got {self.tail_mode!r}")
+        t = self.idle_timeout_s
+        if t is not None and not (math.isfinite(t) and t > 0):
+            raise ArgumentError(f"idle_timeout_s must be None or finite and > 0, got {t}")
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -133,7 +142,7 @@ class PipelineServer:
             while not self._stop.is_set():
                 msg = read_frame(conn)
                 if msg is None:
-                    stats.closed_reason = stats.closed_reason or "eof_or_idle"
+                    stats.closed_reason = "eof_or_idle"
                     break
                 stats.frames += 1
                 stats.bytes_received += msg.header_bytes + len(msg.payload)

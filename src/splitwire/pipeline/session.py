@@ -3,10 +3,11 @@
 Two transports:
 
 * ``simulated`` - nothing is quantized or framed. A kept image is charged
-  the closed-form frame size, wire_header_bytes(rank) + numel * width // 8,
-  which is len() of the frame socket mode would send at any width, and its
-  uplink seconds come from latency.transfer_time. A run is a deterministic
-  function of (images, profile, channel, filter, seed).
+  the closed-form frame size from ``wire``: wire_header_bytes(rank) plus
+  numel * width // 8 payload bytes, which is len() of the frame socket mode
+  would send at any width. Its uplink seconds come from
+  latency.transfer_time. A run is a deterministic function of (images,
+  profile, channel, filter, seed).
 * ``socket``    - frames go over a real TCP stream to a PipelineServer,
   paced by a token bucket at the channel rate; uplink seconds are measured
   wall clock, while head and tail compute stay virtual (from the profile).
@@ -28,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import (QuantizedTensor, dequantize, quantize8, quantize16, passthrough32,
-                     wire_header_bytes)
+from ..codec import QuantizedTensor, dequantize, quantize8, quantize16, passthrough32
 from ..errors import ArgumentError, ProtocolError, TransportError
 from ..latency import ChannelModel, ExecutionProfile, transfer_time
 from ..tensor import Shape, Tensor, random_fill
 from .filtergate import FilterModel, filter_decide
 from .wire import (MsgType, WireMessage, decode_message, encode_message,
-                   quantized_to_message, recv_frame, tensor_digest)
+                   quantized_to_message, recv_frame, tensor_digest, wire_header_bytes)
 
 __all__ = [
     "ImageRecord",
@@ -91,9 +91,9 @@ class SessionLog:
                                  repr(r.t_tail), repr(r.total)])
 
 
-def make_stream(n: int, shape, p_empty: float, seed: int,
-                lo: float = -1.0, hi: float = 1.0) -> list[tuple[Tensor, bool]]:
-    """Synthetic labeled image stream: n (bottleneck tensor, is_empty) pairs."""
+def make_stream(n: int, shape, p_empty: float, seed: int) -> list[tuple[Tensor, bool]]:
+    """Synthetic labeled image stream: n (bottleneck tensor, is_empty) pairs,
+    each tensor filled uniformly from [-1, 1)."""
     if n < 1:
         raise ArgumentError(f"n must be >= 1, got {n}")
     if not isinstance(shape, Shape):
@@ -102,17 +102,16 @@ def make_stream(n: int, shape, p_empty: float, seed: int,
     # same seed can drive both without coupling them
     rng = np.random.default_rng([0x57F3A, seed])
     labels = rng.random(n) < p_empty
-    return [(random_fill(shape, seed * 100003 + i, lo, hi), bool(labels[i]))
+    return [(random_fill(shape, seed * 100003 + i, -1.0, 1.0), bool(labels[i]))
             for i in range(n)]
 
 
 class TokenBucket:
     """Byte-rate pacing with 10 ms granularity for socket sends."""
 
-    def __init__(self, rate_bps: float, tick_s: float = 0.01):
+    def __init__(self, rate_bps: float):
         self.rate_bytes = rate_bps / 8.0
-        self.tick_s = tick_s
-        self.chunk = max(1, int(self.rate_bytes * tick_s))
+        self.chunk = max(1, int(self.rate_bytes * 0.01))
 
     def send_all(self, sock: socket.socket, data: bytes) -> None:
         start = time.monotonic()

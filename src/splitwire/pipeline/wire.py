@@ -24,7 +24,8 @@ uses, and asks the socket for at most 1 MiB per recv, so the memory a
 frame takes grows only with the bytes that really arrived.
 
 tensor_digest (SHA-256 of the float32 values) is what the tail replies
-with and what the head checks.
+with and what the head checks. wire_header_bytes, data_size and ratio_vs
+count a quantized tensor's bytes as framed here.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from ..codec import QuantizedTensor, dequantize, passthrough32, wire_header_bytes
-from ..errors import CodecError, ProtocolError, TransportError
+from ..codec import QuantizedTensor, dequantize, passthrough32
+from ..errors import CodecError, ProtocolError, RangeError, TransportError
 from ..tensor import Shape, Tensor
 
 __all__ = [
@@ -47,6 +48,10 @@ __all__ = [
     "MAX_NDIM",
     "MsgType",
     "WireMessage",
+    "SizeReport",
+    "wire_header_bytes",
+    "data_size",
+    "ratio_vs",
     "encode_message",
     "decode_message",
     "recv_frame",
@@ -68,6 +73,11 @@ MAX_NDIM = 8
 _PREFIX = struct.Struct(">4sBBB")
 _TRAILER = struct.Struct(">fiQ")
 _RECV_CHUNK = 1 << 20
+
+
+def wire_header_bytes(ndim: int) -> int:
+    """Header byte count of a frame carrying a rank-``ndim`` tensor."""
+    return _PREFIX.size + 4 * ndim + _TRAILER.size
 
 
 class MsgType(IntEnum):
@@ -131,6 +141,36 @@ class WireMessage:
     @property
     def header_bytes(self) -> int:
         return wire_header_bytes(len(self.dims))
+
+
+@dataclass(frozen=True)
+class SizeReport:
+    """Byte accounting of one quantized tensor's frame."""
+
+    payload_bytes: int
+    header_bytes: int
+    total_bytes: int
+    ratio_vs_reference: float
+
+
+def data_size(q: QuantizedTensor, reference_bytes: int | None = None) -> SizeReport:
+    """Byte totals including the frame header; ratio is vs ``reference_bytes``
+    when given (1.0 otherwise)."""
+    payload = len(q.payload)
+    header = wire_header_bytes(q.shape.rank)
+    total = payload + header
+    if reference_bytes is None:
+        ratio = 1.0
+    else:
+        if reference_bytes <= 0:
+            raise RangeError(f"reference_bytes must be > 0, got {reference_bytes}")
+        ratio = total / reference_bytes
+    return SizeReport(payload, header, total, ratio)
+
+
+def ratio_vs(q: QuantizedTensor, reference_bytes: int) -> float:
+    """Total frame bytes divided by a reference byte count."""
+    return data_size(q, reference_bytes).ratio_vs_reference
 
 
 def encode_message(m: WireMessage) -> bytes:

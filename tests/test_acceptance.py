@@ -10,14 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from splitwire.codec import (
-    data_size,
-    dequantize,
-    passthrough32,
-    quantize8,
-    quantize16,
-    ratio_vs,
-)
+from splitwire.codec import dequantize, passthrough32, quantize8, quantize16
 from splitwire.config import load_reference_config
 from splitwire.distill import (
     TapPoint,
@@ -41,7 +34,14 @@ from splitwire.netspec import get_builtin_spec, tensor_ratio, trace
 from splitwire.pipeline.filtergate import FilterModel, gate_metrics
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, run_session
-from splitwire.pipeline.wire import MsgType, WireMessage, decode_message, encode_message
+from splitwire.pipeline.wire import (
+    MsgType,
+    WireMessage,
+    data_size,
+    decode_message,
+    encode_message,
+    ratio_vs,
+)
 from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
 
 IMAGE = Shape([3, 874, 1044])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitwire.cli import main
-from splitwire.codec import quantize8, wire_header_bytes
+from splitwire.codec import quantize8
 from splitwire.config import load_config, load_reference_config, reference_config_path
 from splitwire.errors import ArgumentError
 from splitwire.pipeline.server import PipelineServer
@@ -17,6 +17,7 @@ from splitwire.pipeline.wire import (
     message_to_tensor,
     save_message,
     tensor_to_message,
+    wire_header_bytes,
 )
 from splitwire.tensor import Shape, random_fill
 
@@ -280,6 +281,20 @@ def test_client_zero_images_exits_2(tmp_path, ref_path):
                 "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--rates", "0..1:0.5"],
+    ["sweep", "--rates", "1,2", "--p-drop", "1.5"],
+    ["sweep", "--rates", "1,2", "--p-drop", "nan"],
+    ["filter-metrics", "--n", "0"],
+], ids=["rate-range-from-0", "p-drop-1.5", "p-drop-nan", "filter-metrics-n-0"])
+def test_out_of_range_number_exits_2_with_one_error_line(tmp_path, ref_path, capsys, args):
+    if args[0] == "sweep":
+        args = args + ["--out", str(tmp_path / "x.csv")]
+    assert run(args[:1] + ["--config", ref_path] + args[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["serve", "client"])
 @pytest.mark.parametrize("port", ["99999", "\u00b2"], ids=["99999", "superscript-two"])
 def test_port_outside_0_to_65535_exits_2(tmp_path, ref_path, capsys, command, port):
@@ -373,6 +388,15 @@ def test_readme_example_prints_what_readme_shows(tmp_path, monkeypatch, capsys, 
     printed = capsys.readouterr().out.splitlines()
     for line in shown:
         assert line in printed
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    code = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("SizeReport(payload_bytes=177285, header_bytes=35")
+    assert [line.split()[0] for line in printed[1:]] == ["LC", "PO", "SC", "SCNF"]
 
 
 # --- config plumbing ------------------------------------------------------------------

@@ -11,16 +11,20 @@ from hypothesis import strategies as st
 from splitwire.codec import (
     BINARY16_MAX,
     QuantizedTensor,
-    data_size,
     dequantize,
     passthrough32,
     quantize8,
     quantize16,
+)
+from splitwire.errors import CodecError, RangeError
+from splitwire.pipeline.wire import (
+    MsgType,
+    WireMessage,
+    data_size,
+    message_to_quantized,
     ratio_vs,
     wire_header_bytes,
 )
-from splitwire.errors import CodecError, RangeError
-from splitwire.pipeline.wire import MsgType, WireMessage, message_to_quantized
 from splitwire.tensor import Shape, make_tensor, random_fill
 
 
@@ -142,29 +146,24 @@ def test_quantize8_deterministic():
     assert quantize8(t).payload == quantize8(t).payload
 
 
-def test_symmetric_mode_has_no_zero_point():
-    t = random_fill(Shape([128]), seed=11, lo=0.0, hi=6.0)
-    q = quantize8(t, symmetric=True)
-    assert q.zero_point == 0
-    assert q.symmetric
-    err = np.max(np.abs(dequantize(q).data.astype(np.float64) - t.data))
-    assert err <= q.scale / 2 + 1e-6
-
-
-@pytest.mark.parametrize("symmetric", [False, True], ids=["affine", "symmetric"])
-def test_quantize8_underflowing_scale_raises_codec_error(symmetric):
-    # (1e-45 - 0) / 255 rounds to a binary32 scale of 0
-    t = make_tensor([2], [0.0, 1e-45])
+@pytest.mark.parametrize("values", [[0.0, 1e-45], [-1e-45, 0.0]], ids=["affine", "negative"])
+def test_quantize8_underflowing_scale_raises_codec_error(values):
+    # a range 1e-45 wide over 255 levels rounds to a binary32 scale of 0
+    t = make_tensor([2], values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CodecError, match="underflows"):
-            quantize8(t, symmetric=symmetric)
+            quantize8(t)
 
 
-def test_symmetric_mode_clips_in_float64_before_narrowing():
-    # -1e6 / scale is about -2.6e11: it must clip to level 0, not wrap
-    q = quantize8(make_tensor([3], [-1e6, 0.0, 1e-3]), symmetric=True)
-    assert list(q.payload) == [0, 0, 255]
+@pytest.mark.parametrize("values, levels", [
+    ([6.28342231403248e-42, 4.097957229071495e-41, 4.912251766690646e-41], [33, 213, 255]),
+    ([-3.160628686284625e-41, -5.62677385364987e-41, -1.394011712310328e-41], [111, 0, 192]),
+], ids=["above-255", "below-0"])
+def test_quantize8_clips_in_float64_before_narrowing(values, levels):
+    # a subnormal binary32 scale keeps few bits, so the range's end lands on
+    # level 256 or -1: it must clip to 255 or 0, not wrap in the uint8 cast
+    assert list(quantize8(make_tensor([3], values)).payload) == levels
 
 
 # --- quantize16 -----------------------------------------------------------------

@@ -108,13 +108,6 @@ def test_loss_nonnegative_and_zero_only_at_match():
             assert loss > 0.0
 
 
-def test_normalized_loss_divides_by_numel():
-    t, s = rand_t([8], 11), rand_t([8], 12)
-    taps = [TapPoint(0, 1.0, t, s)]
-    assert generalized_loss(taps, normalize=True) == pytest.approx(
-        generalized_loss(taps) / 8, rel=1e-12)
-
-
 # --- loss_grad against central finite differences ---------------------------------
 
 def fd_grad(taps, tap_idx, elem_idx, h=1e-4):
@@ -199,12 +192,12 @@ def test_backprop_weight_gradients_match_finite_differences():
     lambdas = [0.7, 1.3]
 
     grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in student.layers]
-    _stack_loss_and_grads(student, xb, targets, lambdas, False, grads)
+    _stack_loss_and_grads(student, xb, targets, lambdas, grads)
     gw = [w.copy() for w, _ in grads]
     gb = [b.copy() for _, b in grads]
 
     def loss_now():
-        return _stack_loss_and_grads(student, xb, targets, lambdas, False, grads)
+        return _stack_loss_and_grads(student, xb, targets, lambdas, grads)
 
     h = 1e-6
     for l, layer in enumerate(student.layers):

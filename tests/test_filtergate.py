@@ -97,7 +97,6 @@ def test_analytic_drop_rate_mixture_formula():
     expected = (0.25 * fm.drop_probability(True)
                 + 0.75 * fm.drop_probability(False))
     assert fm.analytic_drop_rate() == expected
-    assert fm.outcome_model().p_drop == expected
 
 
 def test_drop_probability_closed_form():

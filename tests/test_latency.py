@@ -7,7 +7,6 @@ from splitwire.latency import (
     ChannelModel,
     DelayBreakdown,
     ExecutionProfile,
-    FilterOutcomeModel,
     PayloadSizes,
     crossover_rate,
     gain_vs_local,
@@ -243,10 +242,10 @@ def test_payload_sizes_invariants():
 
 
 def test_filter_outcome_model_range():
-    FilterOutcomeModel(0.0)
-    FilterOutcomeModel(1.0)
-    with pytest.raises(RangeError):
-        FilterOutcomeModel(-0.01)
+    total_delay("SCNF", PROF, CH5, SIZES, p_drop=0.0)
+    total_delay("SCNF", PROF, CH5, SIZES, p_drop=1.0)
+    with pytest.raises(RangeError, match=r"p_drop must be in \[0, 1\], got -0.01"):
+        total_delay("SCNF", PROF, CH5, SIZES, p_drop=-0.01)
 
 
 def test_delay_breakdown_is_plain_data():

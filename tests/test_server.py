@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from splitwire.codec import dequantize, quantize8
-from splitwire.errors import TransportError
+from splitwire.errors import ArgumentError, TransportError
 from splitwire.latency import ChannelModel, ExecutionProfile
 from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import PipelineServer
@@ -117,6 +117,16 @@ def test_idle_timeout_closes_cleanly():
             time.sleep(0.01)
         assert srv.stats[0].closed_reason == "eof_or_idle"
         assert srv.stats[0].protocol_errors == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"idle_timeout_s": -1.0}, {"idle_timeout_s": 0.0}, {"idle_timeout_s": float("nan")},
+    {"tail_mode": "bogus"},
+], ids=["timeout-negative", "timeout-zero", "timeout-nan", "tail-mode-bogus"])
+def test_unusable_setting_is_rejected_before_serving(kwargs):
+    # accepted, each would kill its handler in settimeout before the socket is closed
+    with pytest.raises(ArgumentError):
+        PipelineServer(prof=PROF, **kwargs)
 
 
 def test_stop_closes_live_connections_and_joins_handlers():

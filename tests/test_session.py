@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from splitwire.codec import passthrough32, quantize8, quantize16, wire_header_bytes
+from splitwire.codec import passthrough32, quantize8, quantize16
 from splitwire.errors import ArgumentError, ProtocolError, TransportError
 from splitwire.latency import (ChannelModel, ExecutionProfile, PayloadSizes, total_delay,
                                transfer_time)
@@ -14,7 +14,7 @@ from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
 from splitwire.pipeline.wire import (MAGIC, detection_result_message, encode_message,
-                                    quantized_to_message)
+                                    quantized_to_message, wire_header_bytes)
 from splitwire.tensor import Shape, make_tensor, random_fill
 
 PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,

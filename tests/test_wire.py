@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitwire.codec import quantize8, quantize16, wire_header_bytes
+from splitwire.codec import quantize8, quantize16
 from splitwire.errors import CodecError, ProtocolError, TransportError
 from splitwire.pipeline.wire import (
     MAGIC,
@@ -23,6 +23,7 @@ from splitwire.pipeline.wire import (
     recv_frame,
     save_message,
     tensor_to_message,
+    wire_header_bytes,
 )
 from splitwire.tensor import Shape, random_fill
 
