@@ -69,6 +69,16 @@ def quantize8(t: Tensor) -> QuantizedTensor:
     levels. Constant tensors take a degenerate rule chosen for an exact round
     trip. Raises CodecError when the range is so narrow that the binary32
     scale underflows to 0.
+
+    A value's level is ``rint(x / scale) + zero_point`` in float64, and
+    ``zero_point = round(-lo / scale)`` puts the range's low end ``lo`` on
+    level 0. The binary32 scale can round down (by a large share when it is
+    subnormal), which would put the high end ``hi`` above level 255; the
+    scale then widens by one ulp, with the zero point recomputed, until
+    ``hi`` fits. Division by a positive scale, ``rint`` and the exact
+    ``+ zero_point`` are monotone, so every level lies between those of
+    ``lo`` and ``hi``, in [0, 255]: the ``uint8`` cast never wraps and the
+    round-trip error stays within scale/2.
     """
     if t.numel < 1:
         raise ShapeError("cannot quantize an empty tensor")
@@ -79,20 +89,21 @@ def quantize8(t: Tensor) -> QuantizedTensor:
     if big == m:
         return _quantize8_constant(t, m)
 
-    lo = min(m, 0.0)
-    scale = float(np.float32((max(big, 0.0) - lo) / 255.0))
+    lo, hi = min(m, 0.0), max(big, 0.0)
+    scale = float(np.float32((hi - lo) / 255.0))
     if scale == 0.0:
         raise CodecError(
             f"value range [{m:g}, {big:g}] is too narrow: the binary32 scale underflows to 0"
         )
-    zero_point = int(np.clip(round(-lo / scale), 0, 255))
+    zero_point = round(-lo / scale)
+    while round(hi / scale) + zero_point > 255:
+        scale = float(np.nextafter(np.float32(scale), np.float32(np.inf)))
+        zero_point = round(-lo / scale)
 
     q = x.astype(np.float64)
     q /= scale
     np.rint(q, out=q)
     q += zero_point
-    # clipped in float64 so that no out-of-range level wraps in the uint8 cast
-    np.clip(q, 0, 255, out=q)
     payload = q.astype(np.uint8).tobytes()
     return QuantizedTensor(t.shape, 8, scale, zero_point, payload)
 

@@ -18,6 +18,7 @@ this reproduces, but ``ChannelModel.fixed_latency_s`` can add a constant.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, NoCrossoverError, RangeError
@@ -53,8 +54,9 @@ class ExecutionProfile:
 
     def __post_init__(self):
         for name in ("t_local", "t_edge_full", "t_head", "t_tail", "t_filter_extra"):
-            if getattr(self, name) < 0:
-                raise RangeError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise RangeError(f"{name} must be finite and >= 0, got {value}")
         if self.t_head > self.t_local:
             raise RangeError("t_head cannot exceed t_local")
         if self.t_tail > self.t_local:
@@ -67,10 +69,11 @@ class ChannelModel:
     fixed_latency_s: float = 0.0
 
     def __post_init__(self):
-        if self.rate_bps <= 0:
-            raise RangeError(f"rate_bps must be > 0, got {self.rate_bps}")
-        if self.fixed_latency_s < 0:
-            raise RangeError("fixed_latency_s must be >= 0")
+        if not (math.isfinite(self.rate_bps) and self.rate_bps > 0):
+            raise RangeError(f"rate_bps must be finite and > 0, got {self.rate_bps}")
+        if not (math.isfinite(self.fixed_latency_s) and self.fixed_latency_s >= 0):
+            raise RangeError(f"fixed_latency_s must be finite and >= 0, "
+                             f"got {self.fixed_latency_s}")
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ Two transports:
 * ``socket``    - frames go over a real TCP stream to a PipelineServer,
   paced by a token bucket at the channel rate; uplink seconds are measured
   wall clock, while head and tail compute stay virtual (from the profile).
-  Each image is quantized once. After sending its frame, the client
-  computes the digest of the dequantized tensor while the tail works, and
-  checks it against the digest in the tail's reply.
+  Each image is quantized once. The client computes the digest of the
+  dequantized tensor while its frame is still on the link, in the token
+  bucket's first pacing wait (after the last byte when the frame fits in
+  one chunk), and checks it against the digest in the tail's reply.
 
 Per-image head time is charged as t_head + t_filter_extra (the filter branch
 runs alongside the head on every image). A dropped image sends nothing and
@@ -25,6 +26,7 @@ from __future__ import annotations
 import csv
 import socket
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +115,16 @@ class TokenBucket:
         self.rate_bytes = rate_bps / 8.0
         self.chunk = max(1, int(self.rate_bytes * 0.01))
 
-    def send_all(self, sock: socket.socket, data: bytes) -> None:
+    def send_all(self, sock: socket.socket, data: bytes,
+                 work: Callable[[], object]) -> float:
+        """Send ``data`` paced to the rate; the link seconds, start to last byte.
+
+        ``work`` runs exactly once. It runs right after the first chunk, in
+        place of the first pacing wait: every chunk stays due at ``start +
+        sent / rate``, so that wait shrinks by the time the work took. When
+        ``data`` fits in one chunk, it runs after the last byte instead, once
+        the link seconds are taken.
+        """
         start = time.monotonic()
         sent = 0
         view = memoryview(data)
@@ -121,10 +132,17 @@ class TokenBucket:
             end = min(sent + self.chunk, len(data))
             sock.sendall(view[sent:end])
             sent = end
+            if work is not None and sent < len(data):
+                work()
+                work = None
             due = start + sent / self.rate_bytes
             delay = due - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
+        link = time.monotonic() - start
+        if work is not None:
+            work()
+        return link
 
 
 def read_frame(sock: socket.socket) -> WireMessage | None:
@@ -197,14 +215,16 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
 
 def _socket_round_trip(sock, bucket, frame: bytes, q: QuantizedTensor,
                        index: int) -> float:
-    start = time.monotonic()
+    expected = None
+
+    def verify() -> None:
+        nonlocal expected
+        expected = tensor_digest(dequantize(q))
+
     try:
-        bucket.send_all(sock, frame)
+        uplink = bucket.send_all(sock, frame, verify)
     except OSError as exc:
         raise TransportError(f"image {index}: send failed: {exc}") from exc
-    uplink = time.monotonic() - start
-    # runs while the tail reads, dequantizes and hashes the frame
-    expected = tensor_digest(dequantize(q))
     try:
         reply = read_frame(sock)
     except OSError as exc:

@@ -295,6 +295,28 @@ def test_out_of_range_number_exits_2_with_one_error_line(tmp_path, ref_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["simulated", "socket"])
+@pytest.mark.parametrize("section, key, value", [
+    ("channel", "rate_bps", "NaN"),
+    ("channel", "rate_bps", "Infinity"),
+    ("profile", "t_tail", "NaN"),
+], ids=["rate-nan", "rate-inf", "t-tail-nan"])
+def test_non_finite_config_value_exits_2_with_one_error_line(tmp_path, ref_path, capsys,
+                                                             mode, section, key, value):
+    # Python's json reads NaN and Infinity; a config file may hold them
+    text = Path(ref_path).read_text()
+    doc = json.loads(text)
+    doc[section][key] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"@"', value))
+    out = tmp_path / "x.csv"
+    assert run(["client", "--config", str(path), "--mode", mode, "--addr", "127.0.0.1:1",
+                "--n", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["serve", "client"])
 @pytest.mark.parametrize("port", ["99999", "\u00b2"], ids=["99999", "superscript-two"])
 def test_port_outside_0_to_65535_exits_2(tmp_path, ref_path, capsys, command, port):

@@ -232,6 +232,23 @@ def test_channel_invariants():
         ChannelModel(1e6, fixed_latency_s=-1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: ChannelModel(v),
+    lambda v: ChannelModel(1e6, fixed_latency_s=v),
+    lambda v: ExecutionProfile(t_local=v, t_edge_full=0.1, t_head=0.1, t_tail=0.1),
+    lambda v: ExecutionProfile(t_local=1.0, t_edge_full=v, t_head=0.1, t_tail=0.1),
+    lambda v: ExecutionProfile(t_local=1.0, t_edge_full=0.1, t_head=v, t_tail=0.1),
+    lambda v: ExecutionProfile(t_local=1.0, t_edge_full=0.1, t_head=0.1, t_tail=v),
+    lambda v: ExecutionProfile(t_local=1.0, t_edge_full=0.1, t_head=0.1, t_tail=0.1,
+                               t_filter_extra=v),
+], ids=["rate_bps", "fixed_latency_s", "t_local", "t_edge_full", "t_head", "t_tail",
+        "t_filter_extra"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_channel_or_profile_value_is_rejected(make, value):
+    with pytest.raises(RangeError, match="must be finite"):
+        make(value)
+
+
 def test_payload_sizes_invariants():
     with pytest.raises(RangeError):
         PayloadSizes(0, 1, 2, 4)

@@ -1,12 +1,13 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from splitwire.codec import passthrough32, quantize8, quantize16
-from splitwire.errors import ArgumentError, ProtocolError, TransportError
+from splitwire.errors import ArgumentError, CodecError, ProtocolError, TransportError
 from splitwire.latency import (ChannelModel, ExecutionProfile, PayloadSizes, total_delay,
                                transfer_time)
 from splitwire.pipeline import session
@@ -197,6 +198,92 @@ def test_slow_reply_is_a_timeout_not_a_closed_connection():
                         server_addr=srv.address, connect_timeout_s=0.3)
     assert "no reply" in str(info.value)
     assert "closed" not in str(info.value)
+
+
+class _SendRecorder:
+    """A connected socket that notes each sendall in a shared event list."""
+
+    def __init__(self, sock: socket.socket, events: list):
+        self.sock = sock
+        self.events = events
+
+    def sendall(self, data) -> None:
+        self.events.append(("sendall", len(data)))
+        self.sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+@pytest.fixture()
+def client_sockets(monkeypatch):
+    """Every socket run_session connects, wrapped in a _SendRecorder."""
+    events: list = []
+    opened: list[_SendRecorder] = []
+    connect = socket.create_connection
+
+    def recording(*args, **kwargs):
+        opened.append(_SendRecorder(connect(*args, **kwargs), events))
+        return opened[-1]
+
+    monkeypatch.setattr(session.socket, "create_connection", recording)
+    return events, opened
+
+
+def test_digest_is_computed_in_the_first_pacing_wait(monkeypatch, client_sockets):
+    events, _ = client_sockets
+    digest = session.tensor_digest
+
+    def noting(t):
+        events.append(("digest",))
+        return digest(t)
+
+    monkeypatch.setattr(session, "tensor_digest", noting)
+    images = make_stream(1, [3, 8, 8], 0.0, seed=23)
+    ch = ChannelModel(80e3)  # 100-byte chunks: the 227-byte frame takes three
+    with PipelineServer(prof=PROF) as srv:
+        log = run_session(images, PROF, ch, SHARP_FM, mode="socket", seed=24,
+                          server_addr=srv.address)
+    assert log.records[0].bytes_sent == 227
+    assert events == [("sendall", 100), ("digest",), ("sendall", 100), ("sendall", 27)]
+    assert log.records[0].t_uplink >= 227 / 10e3
+
+
+def test_unpaced_link_time_excludes_the_digest(monkeypatch):
+    digest = session.tensor_digest
+
+    def slow(t):
+        time.sleep(0.05)
+        return digest(t)
+
+    monkeypatch.setattr(session, "tensor_digest", slow)
+    images = make_stream(1, [3, 8, 8], 0.0, seed=25)
+    with PipelineServer(prof=PROF) as srv:
+        log = run_session(images, PROF, ChannelModel(1e15), SHARP_FM, mode="socket",
+                          seed=26, server_addr=srv.address)
+    assert log.records[0].t_uplink < 0.05
+
+
+def test_failed_verify_closes_the_socket_and_the_server_serves_on(monkeypatch,
+                                                                  client_sockets):
+    _, opened = client_sockets
+    raised = CodecError("dequantize failed")
+
+    def failing(q):
+        raise raised
+
+    images = make_stream(1, [3, 8, 8], 0.0, seed=27)
+    with PipelineServer(prof=PROF) as srv:
+        with monkeypatch.context() as patch:
+            patch.setattr(session, "dequantize", failing)
+            with pytest.raises(CodecError) as info:
+                run_session(images, PROF, ChannelModel(80e3), SHARP_FM, mode="socket",
+                            seed=28, server_addr=srv.address)
+        assert info.value is raised
+        assert opened[0].fileno() == -1
+        log = run_session(images, PROF, ChannelModel(80e3), SHARP_FM, mode="socket",
+                          seed=28, server_addr=srv.address)
+    assert not log.records[0].filtered
 
 
 def test_bad_version_is_rejected_after_the_prefix():
