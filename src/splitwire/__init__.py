@@ -18,7 +18,7 @@ from .errors import (
     SplitwireError,
     TransportError,
 )
-from .tensor import Shape, Tensor, make_tensor, random_fill, sq_sum, sub
+from .tensor import Shape, Tensor, make_tensor, random_fill, sub
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "Tensor",
     "make_tensor",
     "random_fill",
-    "sq_sum",
     "sub",
     "__version__",
 ]

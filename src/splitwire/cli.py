@@ -30,9 +30,10 @@ from .pipeline import (
     make_stream,
     run_session,
     serve,
+    stream_labels,
 )
 from .pipeline import wire
-from .tensor import Shape
+from .tensor import Shape, Tensor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -201,8 +202,15 @@ def cmd_client(args) -> int:
         raise ArgumentError(f"--n must be >= 1, got {args.n}")
     shape = _parse_chw(args.shape)
     seed = args.seed if args.seed is not None else cfg.seed
-    images = make_stream(args.n, shape, cfg.filter.p_empty, seed)
-    addr = _parse_addr(args.addr) if args.mode == "socket" else None
+    if args.mode == "simulated":
+        # a simulated session reads only each image's shape and label
+        blank = Tensor(shape, np.zeros(shape.numel, dtype=np.float32))
+        images = [(blank, bool(empty))
+                  for empty in stream_labels(args.n, cfg.filter.p_empty, seed)]
+        addr = None
+    else:
+        images = make_stream(args.n, shape, cfg.filter.p_empty, seed)
+        addr = _parse_addr(args.addr)
     log = run_session(images, cfg.profile, cfg.channel, cfg.filter,
                       mode=args.mode, seed=seed, width=args.width,
                       server_addr=addr)

@@ -18,10 +18,9 @@ this reproduces, but ``ChannelModel.fixed_latency_s`` can add a constant.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, NoCrossoverError, RangeError
+from .errors import ArgumentError, NoCrossoverError, RangeError, check_number
 
 __all__ = [
     "STRATEGIES",
@@ -32,7 +31,6 @@ __all__ = [
     "SweepRow",
     "transfer_time",
     "total_delay",
-    "gain_vs_local",
     "gain_vs_offload",
     "sweep",
     "write_sweep_csv",
@@ -54,9 +52,7 @@ class ExecutionProfile:
 
     def __post_init__(self):
         for name in ("t_local", "t_edge_full", "t_head", "t_tail", "t_filter_extra"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise RangeError(f"{name} must be finite and >= 0, got {value}")
+            check_number(name, getattr(self, name), at_least=0.0)
         if self.t_head > self.t_local:
             raise RangeError("t_head cannot exceed t_local")
         if self.t_tail > self.t_local:
@@ -69,11 +65,8 @@ class ChannelModel:
     fixed_latency_s: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate_bps) and self.rate_bps > 0):
-            raise RangeError(f"rate_bps must be finite and > 0, got {self.rate_bps}")
-        if not (math.isfinite(self.fixed_latency_s) and self.fixed_latency_s >= 0):
-            raise RangeError(f"fixed_latency_s must be finite and >= 0, "
-                             f"got {self.fixed_latency_s}")
+        check_number("rate_bps", self.rate_bps, above=0.0)
+        check_number("fixed_latency_s", self.fixed_latency_s, at_least=0.0)
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,7 @@ class PayloadSizes:
     def __post_init__(self):
         for name in ("jpeg_bytes", "bottleneck_bytes_8",
                      "bottleneck_bytes_16", "bottleneck_bytes_32"):
-            if getattr(self, name) <= 0:
-                raise RangeError(f"{name} must be > 0")
+            check_number(name, getattr(self, name), above=0.0)
         if not (self.bottleneck_bytes_8 < self.bottleneck_bytes_16
                 < self.bottleneck_bytes_32):
             raise RangeError("bottleneck byte sizes must increase with width")
@@ -153,12 +145,6 @@ def total_delay(strategy: str, prof: ExecutionProfile, ch: ChannelModel,
         return DelayBreakdown("SCNF", prof.t_head, keep * up,
                               keep * prof.t_tail, prof.t_filter_extra)
     raise ArgumentError(f"unknown strategy {strategy!r}; one of {STRATEGIES}")
-
-
-def gain_vs_local(prof: ExecutionProfile, ch: ChannelModel, sizes: PayloadSizes,
-                  width: int, strategy: str, p_drop: float = 0.0) -> float:
-    base = total_delay("LC", prof, ch, sizes, width, p_drop).total
-    return base / total_delay(strategy, prof, ch, sizes, width, p_drop).total
 
 
 def gain_vs_offload(prof: ExecutionProfile, ch: ChannelModel, sizes: PayloadSizes,

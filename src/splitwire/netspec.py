@@ -35,10 +35,8 @@ __all__ = [
     "output_shape",
     "trace",
     "tensor_ratio",
-    "param_count",
     "compose_specs",
     "spec_from_dict",
-    "spec_to_dict",
     "load_spec_file",
     "builtin_specs",
     "get_builtin_spec",
@@ -196,10 +194,6 @@ def tensor_ratio(bottleneck: Shape, input_shape: Shape) -> float:
     return bottleneck.numel / input_shape.numel
 
 
-def param_count(net: NetworkSpec, in_shape: Shape) -> int:
-    return trace(net, in_shape).param_count
-
-
 def compose_specs(name: str, *specs: NetworkSpec) -> NetworkSpec:
     layers: list[LayerSpec] = []
     for s in specs:
@@ -207,8 +201,8 @@ def compose_specs(name: str, *specs: NetworkSpec) -> NetworkSpec:
     return NetworkSpec(name, tuple(layers))
 
 
-# --- serialization (field names: kind, oc, k, s, p, oh, ow, in_features,
-#     out_features, bottleneck) ---
+# --- reading spec documents (field names: kind, oc, k, s, p, oh, ow,
+#     in_features, out_features, bottleneck, bias) ---
 
 _LAYER_FIELDS = ("kind", "oc", "k", "s", "p", "oh", "ow",
                  "in_features", "out_features", "bottleneck", "bias")
@@ -231,27 +225,6 @@ def spec_from_dict(doc: dict[str, Any]) -> NetworkSpec:
             raise ArgumentError(f"layer {i}: unknown fields {sorted(unknown)}")
         layers.append(LayerSpec(**row))
     return NetworkSpec(name, tuple(layers))
-
-
-def spec_to_dict(net: NetworkSpec) -> dict[str, Any]:
-    rows = []
-    for layer in net.layers:
-        row: dict[str, Any] = {"kind": layer.kind}
-        for f in ("oc", "k", "oh", "ow", "in_features", "out_features"):
-            v = getattr(layer, f)
-            if v is not None:
-                row[f] = v
-        if layer.kind in ("conv", "maxpool"):
-            if layer.s != 1:
-                row["s"] = layer.s
-            if layer.p != 0:
-                row["p"] = layer.p
-        if layer.bottleneck:
-            row["bottleneck"] = True
-        if layer.bias:
-            row["bias"] = True
-        rows.append(row)
-    return {"name": net.name, "layers": rows}
 
 
 def load_spec_file(path: str) -> NetworkSpec:

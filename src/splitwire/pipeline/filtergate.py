@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import RangeError
+from ..errors import RangeError, check_number
 
 __all__ = ["FilterModel", "GateMetrics", "filter_decide", "gate_metrics"]
 
@@ -29,12 +29,12 @@ class FilterModel:
     sigma_nonempty: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise RangeError(f"threshold must be in [0, 1], got {self.threshold}")
-        if not 0.0 <= self.p_empty <= 1.0:
-            raise RangeError(f"p_empty must be in [0, 1], got {self.p_empty}")
-        if self.sigma_empty <= 0 or self.sigma_nonempty <= 0:
-            raise RangeError("score sigmas must be > 0")
+        for name in ("threshold", "p_empty"):
+            check_number(name, getattr(self, name), at_least=0.0, at_most=1.0)
+        for name in ("mu_empty", "mu_nonempty"):
+            check_number(name, getattr(self, name))
+        for name in ("sigma_empty", "sigma_nonempty"):
+            check_number(name, getattr(self, name), above=0.0)
 
     def sample_scores(self, is_empty: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One score per image, drawn from the class-conditional model."""
@@ -89,7 +89,8 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    order = np.argsort(scores, kind="mergesort")
+    # no stable sort needed: a run's positives are counted, not ranked one by one
+    order = np.argsort(scores)
     sorted_scores = scores[order]
     # each run of tied scores [start, end) shares the midrank (start + end + 1) / 2
     starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])

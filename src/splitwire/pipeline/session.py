@@ -7,7 +7,10 @@ Two transports:
   numel * width // 8 payload bytes, which is len() of the frame socket mode
   would send at any width. Its uplink seconds come from
   latency.transfer_time. A run is a deterministic function of (images,
-  profile, channel, filter, seed).
+  profile, channel, filter, seed), and reads only each image's shape and
+  label: the CLI's simulated client builds no tensors, passing one shared
+  tensor with the labels of ``stream_labels``, so its memory does not grow
+  with the image count times the tensor size.
 * ``socket``    - frames go over a real TCP stream to a PipelineServer,
   paced by a token bucket at the channel rate; uplink seconds are measured
   wall clock, while head and tail compute stay virtual (from the profile).
@@ -45,7 +48,7 @@ __all__ = [
     "TokenBucket",
     "make_stream",
     "run_session",
-    "tensor_digest",
+    "stream_labels",
 ]
 
 
@@ -93,19 +96,30 @@ class SessionLog:
                                  repr(r.t_tail), repr(r.total)])
 
 
-def make_stream(n: int, shape, p_empty: float, seed: int) -> list[tuple[Tensor, bool]]:
-    """Synthetic labeled image stream: n (bottleneck tensor, is_empty) pairs,
-    each tensor filled uniformly from [-1, 1)."""
+def stream_labels(n: int, p_empty: float, seed: int) -> np.ndarray:
+    """The is_empty labels of ``make_stream(n, shape, p_empty, seed)``, for any
+    shape, as a bool array; no tensor is built."""
     if n < 1:
         raise ArgumentError(f"n must be >= 1, got {n}")
-    if not isinstance(shape, Shape):
-        shape = Shape(shape)
     # label stream is kept distinct from the session's score stream so the
     # same seed can drive both without coupling them
     rng = np.random.default_rng([0x57F3A, seed])
-    labels = rng.random(n) < p_empty
-    return [(random_fill(shape, seed * 100003 + i, -1.0, 1.0), bool(labels[i]))
-            for i in range(n)]
+    return rng.random(n) < p_empty
+
+
+def make_stream(n: int, shape, p_empty: float, seed: int) -> list[tuple[Tensor, bool]]:
+    """Synthetic labeled image stream: n (bottleneck tensor, is_empty) pairs,
+    each tensor filled uniformly from [-1, 1).
+
+    A simulated session reads only each tensor's shape, so it needs none of
+    these tensors: pair ``stream_labels`` with one shared tensor instead, and
+    memory does not grow with n times the tensor size.
+    """
+    labels = stream_labels(n, p_empty, seed)
+    if not isinstance(shape, Shape):
+        shape = Shape(shape)
+    return [(random_fill(shape, seed * 100003 + i, -1.0, 1.0), bool(empty))
+            for i, empty in enumerate(labels)]
 
 
 class TokenBucket:

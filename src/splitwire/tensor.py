@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import RangeError, ShapeError
 
-__all__ = ["Shape", "Tensor", "make_tensor", "sub", "sq_sum", "random_fill"]
+__all__ = ["Shape", "Tensor", "make_tensor", "sub", "random_fill"]
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     return Tensor(a.shape, (a.data - b.data).astype(np.float32))
-
-
-def sq_sum(a: Tensor) -> float:
-    """Sum of squared elements, accumulated in float64."""
-    d = a.data.astype(np.float64)
-    return float(np.dot(d, d))
 
 
 # splitmix64 constants; the generator is self-contained so seeded streams are

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 
 from splitwire.cli import main
 from splitwire.codec import quantize8
-from splitwire.config import load_config, load_reference_config, reference_config_path
+from splitwire.config import (config_from_dict, load_config, load_reference_config,
+                              reference_config_path)
 from splitwire.errors import ArgumentError
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.wire import (
@@ -249,6 +252,23 @@ def test_filter_metrics_single_sample_runs(capsys, ref_path):
     assert "drop_rate" in capsys.readouterr().out
 
 
+# SHA-256 of the stdout of `filter-metrics --n 100000`, from the gate whose
+# rank AUC used a stable sort
+FILTER_METRICS_DIGESTS = {
+    1: "ee61d223d75f2876b15cf32e7603d96461750fdbc250772deefae7aa0abf6522",
+    2: "23b9f01361e334e36025608da5126fb67e00414e77d2d3dcaafdf94c3c896cbe",
+    3: "40ba40262141b8bfd0c565dff463e6b9254306bd3b8d77e9445146871ab804f1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FILTER_METRICS_DIGESTS))
+def test_filter_metrics_output_is_byte_identical(capsys, ref_path, seed):
+    assert run(["filter-metrics", "--config", ref_path, "--n", "100000",
+                "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == FILTER_METRICS_DIGESTS[seed]
+
+
 # --- client / serve ------------------------------------------------------------------
 
 def test_client_loopback_writes_session_log(tmp_path, ref_path):
@@ -269,6 +289,61 @@ def test_client_simulated_mode_needs_no_server(tmp_path, ref_path):
     assert run(["client", "--config", ref_path, "--mode", "simulated",
                 "--n", "25", "--seed", "2", "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 26
+
+
+# SHA-256 of stdout, then of the CSV, of `client --mode simulated --n 100
+# --shape 3x64x64 --out session.csv`, from the client that built every tensor
+# with make_stream. The reference gate drops none of these images, so the
+# second config raises its threshold to 0.5 for labels and scores to show.
+SIMULATED_CLIENT_DIGESTS = {
+    ("reference", 1, 8): "dd6ab9adac8ecf442ad654e410b36381a0acd693b237b4b5d0478246a1dfaf0c",
+    ("reference", 1, 16): "38f6ee972484f7b2a635b699f4fbb12776608c3226d65a68211f96dffc833492",
+    ("reference", 1, 32): "ea10cdf60cf0c20ee16982fef70ab376e1cd1df127231928aadc39a86940e49f",
+    ("reference", 2, 8): "dd6ab9adac8ecf442ad654e410b36381a0acd693b237b4b5d0478246a1dfaf0c",
+    ("reference", 2, 16): "38f6ee972484f7b2a635b699f4fbb12776608c3226d65a68211f96dffc833492",
+    ("reference", 2, 32): "ea10cdf60cf0c20ee16982fef70ab376e1cd1df127231928aadc39a86940e49f",
+    ("reference", 3, 8): "dd6ab9adac8ecf442ad654e410b36381a0acd693b237b4b5d0478246a1dfaf0c",
+    ("reference", 3, 16): "38f6ee972484f7b2a635b699f4fbb12776608c3226d65a68211f96dffc833492",
+    ("reference", 3, 32): "ea10cdf60cf0c20ee16982fef70ab376e1cd1df127231928aadc39a86940e49f",
+    ("threshold-0.5", 1, 8): "a8e974571cf507ff4422dfba0d9cf0ec3b3cc999ca1d4579338736c12b67bbec",
+    ("threshold-0.5", 1, 16): "4eb6b059db2255bdeeadc181db8b3fe7d1fc1f20b75181a931f3e988a1c3d3cf",
+    ("threshold-0.5", 1, 32): "06cc3d3b495cca9884a742851b3b65f2d43650f83ae0e1ba2aaa5efca5cf2bac",
+    ("threshold-0.5", 2, 8): "58ce699596ad8b0b3de52273185f0e40493003734c03b19812cfc31f1ecb02d9",
+    ("threshold-0.5", 2, 16): "1657e721cf0a797a6a8d61f7542108e3af00048b9d4253e161d3169a3030e942",
+    ("threshold-0.5", 2, 32): "49ad91b2f660e2dbeb4c7cae3f000a7e1b4b6a1689eac21c9c50a9519fca77e8",
+    ("threshold-0.5", 3, 8): "9b323d443ade203e117ed0fd8fdd24963ffce95cafd80c81df0582f34db9a945",
+    ("threshold-0.5", 3, 16): "427b51b65a6428ff6e3a4d36e049408c4bd358b35126d4c5f1484d22ff0012d5",
+    ("threshold-0.5", 3, 32): "860c112f93e2afa4c786c052c88cd0d06ebd60e1267870a1f99916fe420027a9",
+}
+
+
+@pytest.mark.parametrize("config, seed, width", sorted(SIMULATED_CLIENT_DIGESTS))
+def test_simulated_client_output_is_byte_identical(tmp_path, monkeypatch, capsys, ref_path,
+                                                   config, seed, width):
+    monkeypatch.chdir(tmp_path)  # stdout names the --out path
+    if config == "threshold-0.5":
+        doc = json.loads(Path(ref_path).read_text())
+        doc["filter"]["threshold"] = 0.5
+        ref_path = "half.json"
+        Path(ref_path).write_text(json.dumps(doc))
+    assert run(["client", "--config", ref_path, "--mode", "simulated", "--n", "100",
+                "--shape", "3x64x64", "--width", str(width), "--seed", str(seed),
+                "--out", "session.csv"]) == 0
+    h = hashlib.sha256(capsys.readouterr().out.encode())
+    h.update(Path("session.csv").read_bytes())
+    assert h.hexdigest() == SIMULATED_CLIENT_DIGESTS[config, seed, width]
+
+
+def test_simulated_client_memory_does_not_grow_with_n(tmp_path, ref_path):
+    # 2000 images of 3x64x64 float32 tensors would take 98 MB
+    tracemalloc.start()
+    try:
+        assert run(["client", "--config", ref_path, "--mode", "simulated", "--n", "2000",
+                    "--shape", "3x64x64", "--out", str(tmp_path / "s.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_client_without_server_exits_4(tmp_path, ref_path):
@@ -315,6 +390,44 @@ def test_non_finite_config_value_exits_2_with_one_error_line(tmp_path, ref_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, args", [
+    ("sizes", "jpeg_bytes", "NaN", ["sweep", "--rates", "1,5"]),
+    ("sizes", "jpeg_bytes", "true", ["sweep", "--rates", "1,5"]),
+    ("filter", "mu_nonempty", "NaN", ["filter-metrics", "--n", "1000"]),
+    ("filter", "sigma_empty", "NaN", ["filter-metrics", "--n", "1000"]),
+], ids=["jpeg-bytes-nan", "jpeg-bytes-true", "mu-nonempty-nan", "sigma-empty-nan"])
+def test_nan_or_bool_sizes_or_filter_value_exits_2_with_one_error_line(
+        tmp_path, ref_path, capsys, section, key, value, args):
+    doc = json.loads(Path(ref_path).read_text())
+    doc[section][key] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"@"', value))
+    out = tmp_path / "x.csv"
+    if args[0] == "sweep":
+        args = args + ["--out", str(out)]
+    assert run(args[:1] + ["--config", str(path)] + args[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+NUMERIC_CONFIG_FIELDS = [
+    (section, key)
+    for section in ("profile", "channel", "sizes", "filter")
+    for key in json.loads(Path(reference_config_path()).read_text())[section]
+]
+
+
+@pytest.mark.parametrize("section, key", NUMERIC_CONFIG_FIELDS,
+                         ids=[key for _, key in NUMERIC_CONFIG_FIELDS])
+@pytest.mark.parametrize("value", [float("nan"), True], ids=["nan", "bool"])
+def test_every_numeric_config_value_must_be_a_finite_number(section, key, value):
+    doc = json.loads(Path(reference_config_path()).read_text())
+    doc[section][key] = value
+    with pytest.raises(ArgumentError, match=f"{key} must be"):
+        config_from_dict(doc)
 
 
 @pytest.mark.parametrize("command", ["serve", "client"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from splitwire.errors import RangeError
 from splitwire.pipeline.filtergate import (
@@ -54,6 +56,20 @@ def test_rank_auc_counts_tied_pairs_as_half():
     pos, neg = scores[positive], scores[~positive]
     wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
     assert _rank_auc(scores, positive) == wins / (pos.size * neg.size)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=80))
+@example([(1, True), (1, True)])
+def test_rank_auc_equals_the_pairwise_count(rows):
+    # few distinct scores, so most pairs tie; a tie counts as half a win
+    scores = np.array([s / 3 for s, _ in rows])
+    positive = np.array([p for _, p in rows])
+    pos, neg = scores[positive], scores[~positive]
+    if pos.size == 0 or neg.size == 0:
+        assert math.isnan(_rank_auc(scores, positive))
+        return
+    twice_wins = sum(2 * int(p > q) + int(p == q) for p in pos for q in neg)
+    assert _rank_auc(scores, positive) == twice_wins / 2 / (pos.size * neg.size)
 
 
 def test_identical_distributions_give_half_auc():

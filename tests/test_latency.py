@@ -9,7 +9,6 @@ from splitwire.latency import (
     ExecutionProfile,
     PayloadSizes,
     crossover_rate,
-    gain_vs_local,
     gain_vs_offload,
     sweep,
     total_delay,
@@ -103,7 +102,8 @@ def test_breakdown_total_is_exact_component_sum():
 
 
 def test_gain_vs_local_of_lc_is_one():
-    assert gain_vs_local(PROF, CH5, SIZES, 8, "LC") == 1.0
+    rows = sweep(PROF, SIZES, 8, [1e6, 5e6])
+    assert [r.gain_vs_local for r in rows if r.strategy == "LC"] == [1.0, 1.0]
 
 
 def test_gain_vs_offload_low_rate_limit():

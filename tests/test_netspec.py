@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -13,9 +14,7 @@ from splitwire.netspec import (
     get_builtin_spec,
     load_spec_file,
     output_shape,
-    param_count,
     spec_from_dict,
-    spec_to_dict,
     tensor_ratio,
     trace,
 )
@@ -104,22 +103,22 @@ def test_tensor_ratio_trivial_cases():
 
 def test_param_count_conv():
     net = NetworkSpec("c", (LayerSpec("conv", oc=3, k=2),))
-    assert param_count(net, Shape([64, 10, 10])) == 64 * 3 * 2 * 2 == 768
+    assert trace(net, Shape([64, 10, 10])).param_count == 64 * 3 * 2 * 2 == 768
 
 
 def test_param_count_conv_with_bias_flag():
     net = NetworkSpec("c", (LayerSpec("conv", oc=3, k=2, bias=True),))
-    assert param_count(net, Shape([64, 10, 10])) == 768 + 3
+    assert trace(net, Shape([64, 10, 10])).param_count == 768 + 3
 
 
 def test_param_count_batchnorm():
     net = NetworkSpec("b", (LayerSpec("batchnorm"),))
-    assert param_count(net, Shape([64, 5, 5])) == 128
+    assert trace(net, Shape([64, 5, 5])).param_count == 128
 
 
 def test_param_count_linear():
     net = NetworkSpec("l", (LayerSpec("linear", in_features=1024, out_features=2),))
-    assert param_count(net, Shape([1024])) == 1024 * 2 + 2 == 2050
+    assert trace(net, Shape([1024])).param_count == 1024 * 2 + 2 == 2050
 
 
 def test_pool_relu_softmax_have_no_params():
@@ -129,7 +128,7 @@ def test_pool_relu_softmax_have_no_params():
         LayerSpec("adaptive_avgpool", oh=2, ow=2),
         LayerSpec("softmax"),
     ))
-    assert param_count(net, Shape([8, 8, 8])) == 0
+    assert trace(net, Shape([8, 8, 8])).param_count == 0
 
 
 @pytest.mark.parametrize("hw", [(219, 261), (200, 200), (100, 500), (64, 64)])
@@ -162,26 +161,20 @@ def test_bottleneck_ratio_band_for_shorter_side_800(w, transposed):
     assert 0.06 <= ratio <= 0.07
 
 
+def spec_doc(net):
+    # every LayerSpec field, unset ones as None: spec_from_dict must take them all
+    return {"name": net.name, "layers": [dataclasses.asdict(l) for l in net.layers]}
+
+
 def test_spec_round_trips_through_dict():
     net = get_builtin_spec("student_l1")
-    doc = spec_to_dict(net)
-    assert doc["name"] == "student_l1"
-    assert spec_from_dict(doc) == net
-
-
-def test_spec_dict_field_names():
-    doc = spec_to_dict(get_builtin_spec("neural_filter"))
-    seen = set()
-    for row in doc["layers"]:
-        seen.update(row)
-    assert seen <= {"kind", "oc", "k", "s", "p", "oh", "ow",
-                    "in_features", "out_features", "bottleneck", "bias"}
+    assert spec_from_dict(spec_doc(net)) == net
 
 
 def test_spec_file_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     net = get_builtin_spec("stem")
-    path.write_text(json.dumps(spec_to_dict(net)))
+    path.write_text(json.dumps(spec_doc(net)))
     assert load_spec_file(str(path)) == net
 
 

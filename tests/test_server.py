@@ -13,13 +13,14 @@ from splitwire.errors import ArgumentError, TransportError
 from splitwire.latency import ChannelModel, ExecutionProfile
 from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import PipelineServer
-from splitwire.pipeline.session import make_stream, read_frame, run_session, tensor_digest
+from splitwire.pipeline.session import make_stream, read_frame, run_session
 from splitwire.pipeline.wire import (
     MsgType,
     WireMessage,
     empty_result_message,
     encode_message,
     quantized_to_message,
+    tensor_digest,
 )
 
 PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
