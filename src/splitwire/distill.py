@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, RangeError, ShapeError, check_number
 from .tensor import Tensor
 
 __all__ = [
@@ -44,6 +44,14 @@ __all__ = [
 ]
 
 
+def _check_arg(name: str, value, **bounds) -> None:
+    """``errors.check_number``'s rule, raised as an ArgumentError."""
+    try:
+        check_number(name, value, **bounds)
+    except RangeError as exc:
+        raise ArgumentError(str(exc)) from None
+
+
 # --- losses -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -56,8 +64,7 @@ class TapPoint:
     student_out: Tensor
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ArgumentError(f"tap {self.index}: scale factor must be >= 0")
+        _check_arg(f"tap {self.index}: scale factor", self.lam, at_least=0.0)
         if self.teacher_out.shape != self.student_out.shape:
             raise ShapeError(
                 f"tap {self.index}: teacher shape {self.teacher_out.shape} "
@@ -219,8 +226,7 @@ class TrainConfig:
             raise ArgumentError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ArgumentError("batch_size must be >= 1")
-        if self.lr0 <= 0:
-            raise ArgumentError("lr0 must be > 0")
+        _check_arg("lr0", self.lr0, above=0.0)
         if not 0 < self.lr_decay_factor <= 1:
             raise ArgumentError("lr_decay_factor must be in (0, 1]")
         object.__setattr__(self, "decay_epochs", tuple(self.decay_epochs))
@@ -256,34 +262,74 @@ def _layer_views(flat: np.ndarray,
     return views
 
 
-def _stack_loss_and_grads(student: ToyHead, xb: np.ndarray,
-                          teacher_taps: list[np.ndarray],
-                          lambdas: list[float],
-                          grads: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Batch loss; writes each layer's weight and bias gradient (backprop)
-    into that layer's pair in ``grads``."""
-    outs = student.forward(xb)
-    tap_pos = {j: k for k, j in enumerate(student.tap_indices)}
+class _BatchPlan:
+    """One batch's training step over fixed buffers.
 
-    loss = 0.0
-    deltas: list[np.ndarray | None] = [None] * len(student.layers)
-    for j, k in tap_pos.items():
-        resid = outs[j] - teacher_taps[k]
-        lam = lambdas[k]
-        loss += lam * float(np.sum(resid * resid))
-        deltas[j] = 2.0 * lam * resid
+    The plan holds the batch, its teacher taps and scale factors, one output
+    buffer per layer up to the last tap, one backprop buffer per layer below
+    it, one residual and one square buffer per tap, and the (weight, bias)
+    views of the parameters and of their gradients. ``loss_and_grads`` then
+    allocates no arrays.
+    """
 
-    acc = np.zeros_like(outs[-1])
-    for l in range(len(student.layers) - 1, -1, -1):
-        if deltas[l] is not None:
-            acc = acc + deltas[l]
-        h_prev = xb if l == 0 else outs[l - 1]
-        grad_w, grad_b = grads[l]
-        grad_w[...] = acc.T @ h_prev
-        grad_b[...] = acc.sum(axis=0)
-        if l > 0:
-            acc = acc @ student.layers[l].weight
-    return loss
+    def __init__(self, params: list[tuple[np.ndarray, np.ndarray]],
+                 grads: list[tuple[np.ndarray, np.ndarray]],
+                 tap_indices: tuple[int, ...], xb: np.ndarray,
+                 teacher_taps: list[np.ndarray], lambdas: list[float]):
+        # layers past the last tap change no loss: they are never run, and
+        # their gradients keep the zeros they start with
+        last = max(tap_indices)
+        n = xb.shape[0]
+        outs = [np.empty((n, w.shape[0])) for w, _ in params[:last + 1]]
+        inputs = [xb, *outs[:last]]
+        self.forward = [(h, w.T, b, out)
+                        for h, (w, b), out in zip(inputs, params, outs)]
+        self.taps = []
+        resid = {}
+        for j, k in {j: k for k, j in enumerate(tap_indices)}.items():
+            resid[j] = np.empty_like(outs[j])
+            self.taps.append((outs[j], teacher_taps[k], resid[j],
+                              np.empty_like(outs[j]), lambdas[k], 2.0 * lambdas[k]))
+        # backprop signal of each layer: the last tap's own scaled residual,
+        # below it the product with the next layer's weight plus any tap's
+        accs = [np.empty_like(out) for out in outs[:last]] + [resid[last]]
+        self.backward = []
+        for l in range(last, -1, -1):
+            acc = accs[l]
+            self.backward.append((acc, acc.T, resid.get(l) if l < last else None,
+                                  inputs[l], *grads[l], params[l][0],
+                                  accs[l - 1] if l > 0 else None))
+
+    def loss_and_grads(self) -> float:
+        """Batch loss; writes each layer's weight and bias gradient."""
+        for h, wt, b, out in self.forward:
+            np.matmul(h, wt, out=out)
+            out += b
+        loss = 0.0
+        for out, target, resid, sq, lam, two_lam in self.taps:
+            np.subtract(out, target, out=resid)
+            np.multiply(resid, resid, out=sq)
+            loss += lam * float(sq.sum())
+            resid *= two_lam
+        for acc, acc_t, tap_resid, h_prev, grad_w, grad_b, w, below in self.backward:
+            if tap_resid is not None:
+                acc += tap_resid
+            np.matmul(acc_t, h_prev, out=grad_w)
+            np.add.reduce(acc, axis=0, out=grad_b)
+            if below is not None:
+                np.matmul(acc, w, out=below)
+        return loss
+
+
+def _scale_factors(lambdas: list[float] | None, n_taps: int) -> list[float]:
+    """One checked scale factor per tap; all 1 when none are given."""
+    if lambdas is None:
+        return [1.0] * n_taps
+    if len(lambdas) != n_taps:
+        raise ArgumentError("need one scale factor per tap")
+    for k, lam in enumerate(lambdas):
+        _check_arg(f"scale factor {k}", lam, at_least=0.0)
+    return list(lambdas)
 
 
 def train_toy(teacher: ToyHead, student: ToyHead, dataset,
@@ -298,6 +344,20 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
     Every weight and bias of the returned student is a view into one flat
     parameter vector, and backprop writes into views of a matching flat
     gradient, so each step is one elementwise Adam update over the vector.
+
+    Before the first epoch, each batch gets a plan (``_BatchPlan``): its
+    teacher taps, its ``2 * lam`` factors, preallocated output, residual and
+    backprop buffers, and the weight and bias views into the flat parameter
+    and gradient vectors. A step then runs forward, backprop and Adam through
+    ``out=`` ufuncs and in-place operators alone. Each of them performs the
+    same IEEE operation on the same operands, in the same order, as the
+    expression that once allocated its result, so the trained weights and
+    every epoch's loss are bit-identical to that code; golden digests in the
+    tests pin both. The one difference is where backprop starts: from the
+    last tap's scaled residual itself, which the old code added to zeros, so
+    the two can differ only in the sign of a zero. Layers past the last tap
+    are not run: their gradient stays zero, so Adam leaves them unchanged,
+    as before.
     """
     if teacher.tap_dims() != student.tap_dims():
         raise ShapeError(
@@ -306,24 +366,24 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
         )
     if teacher.in_dim != student.in_dim:
         raise ShapeError("teacher and student input dims differ")
-    if lambdas is None:
-        lambdas = [1.0] * len(student.tap_indices)
-    if len(lambdas) != len(student.tap_indices):
-        raise ArgumentError("need one scale factor per tap")
+    lambdas = _scale_factors(lambdas, len(student.tap_indices))
 
     x = _as_data_matrix(dataset)
     theta = np.concatenate([p.ravel() for layer in student.layers
                             for p in (layer.weight, layer.bias)])
     grad = np.zeros_like(theta)
+    params = _layer_views(theta, student.layers)
     grads = _layer_views(grad, student.layers)
-    student = ToyHead([AffineLayer(w, b) for w, b in _layer_views(theta, student.layers)],
+    student = ToyHead([AffineLayer(w, b) for w, b in params],
                       student.tap_indices, student.bottleneck_index)
+    n = x.shape[0]
+    plans = [_BatchPlan(params, grads, student.tap_indices, xb,
+                        teacher.tap_outputs(xb), lambdas)
+             for xb in (x[i:i + cfg.batch_size] for i in range(0, n, cfg.batch_size))]
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-
-    n = x.shape[0]
-    batches = [x[i:i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
-    teacher_taps = [teacher.tap_outputs(b) for b in batches]
+    s1 = np.empty_like(theta)
+    s2 = np.empty_like(theta)
 
     history = []
     lr = cfg.lr0
@@ -332,17 +392,26 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
         if epoch in cfg.decay_epochs:
             lr *= cfg.lr_decay_factor
         epoch_losses = []
-        for bi, xb in enumerate(batches):
-            epoch_losses.append(_stack_loss_and_grads(
-                student, xb, teacher_taps[bi], lambdas, grads))
+        for plan in plans:
+            epoch_losses.append(plan.loss_and_grads())
             step += 1
             b1c = 1.0 - _ADAM_BETA1 ** step
             b2c = 1.0 - _ADAM_BETA2 ** step
             m *= _ADAM_BETA1
-            m += (1.0 - _ADAM_BETA1) * grad
+            np.multiply(grad, 1.0 - _ADAM_BETA1, out=s1)
+            m += s1
             v *= _ADAM_BETA2
-            v += (1.0 - _ADAM_BETA2) * grad * grad
-            theta -= lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
+            np.multiply(grad, 1.0 - _ADAM_BETA2, out=s1)
+            s1 *= grad
+            v += s1
+            # theta -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
+            np.divide(m, b1c, out=s1)
+            s1 *= lr
+            np.divide(v, b2c, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += _ADAM_EPS
+            s1 /= s2
+            theta -= s1
         history.append(EpochStats(epoch, float(np.mean(epoch_losses)), lr))
     return student, history
 
@@ -352,8 +421,7 @@ def evaluate_loss(teacher: ToyHead, student: ToyHead, dataset,
     """Generalized loss summed over the whole dataset as one batch."""
     if teacher.tap_dims() != student.tap_dims():
         raise ShapeError("tap misalignment between teacher and student")
-    if lambdas is None:
-        lambdas = [1.0] * len(student.tap_indices)
+    lambdas = _scale_factors(lambdas, len(student.tap_indices))
     x = _as_data_matrix(dataset)
     total = 0.0
     for lam, t_out, s_out in zip(lambdas, teacher.tap_outputs(x),

@@ -84,7 +84,17 @@ class GateMetrics:
 
 
 def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float:
-    """Mann-Whitney AUC with midrank tie handling; nan if one class absent."""
+    """Mann-Whitney AUC with midrank tie handling; nan if one class absent.
+
+    The positives' rank sum is summed exactly in int64 as twice its value,
+    an integer of at most n * (n + 1), and halved once. While
+    n * (n + 1) <= 2**53, that is for n up to 94,906,265, a float sum of the
+    midranks is exact in any order too, because each partial sum is a whole
+    multiple of 1/2 no larger than the total: in that range the AUC is the
+    same float either way. Summing integers also keeps the rank sum off
+    BLAS, whose dot product on a long vector wakes worker threads that then
+    busy-wait on the other cores.
+    """
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -95,8 +105,8 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     # each run of tied scores [start, end) shares the midrank (start + end + 1) / 2
     starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
     ends = np.r_[starts[1:], scores.size]
-    pos_per_run = np.add.reduceat(positive[order].astype(np.float64), starts)
-    rank_sum = float(np.dot(0.5 * (starts + ends + 1), pos_per_run))
+    pos_per_run = np.add.reduceat(positive[order].astype(np.int64), starts)
+    rank_sum = int(((starts + ends + 1) * pos_per_run).sum()) / 2
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import resource
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -267,6 +269,45 @@ def test_filter_metrics_output_is_byte_identical(capsys, ref_path, seed):
                 "--seed", str(seed)]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == FILTER_METRICS_DIGESTS[seed]
+
+
+# --- threads ------------------------------------------------------------------------
+
+def _other_threads_cpu_s():
+    whole = resource.getrusage(resource.RUSAGE_SELF)
+    this = resource.getrusage(resource.RUSAGE_THREAD)
+    return (whole.ru_utime + whole.ru_stime) - (this.ru_utime + this.ru_stime)
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"),
+                    reason="needs per-thread CPU accounting")
+def test_offline_commands_leave_other_threads_idle(tmp_path, ref_path, capsys):
+    # A BLAS kernel on a long vector wakes the library's worker threads, which
+    # then busy-wait on another core: charge the caller every other thread's
+    # CPU over each command and the 0.3 s after it
+    tensor = str(tmp_path / "tensor.bin")
+    save_message(tensor, tensor_to_message(random_fill(Shape([3, 223, 265]), seed=1,
+                                                       lo=-1.0, hi=1.0)))
+    q8, out = str(tmp_path / "q8.bin"), str(tmp_path / "out")
+    commands = [
+        ["sweep", "--config", ref_path, "--rates", "0.5..10:0.5", "--out", out],
+        ["netspec", "--spec", "student_l1", "--input", "3x874x1044"],
+        ["codec", "quantize", "--in", tensor, "--out", q8, "--width", "8"],
+        ["codec", "quantize", "--in", tensor, "--out", out, "--width", "16"],
+        ["codec", "dequantize", "--in", q8, "--out", out],
+        ["distill", "--fixture", "rank3_bneck1", "--out", out],
+        ["filter-metrics", "--config", ref_path, "--n", "100000", "--seed", "1"],
+        ["client", "--config", ref_path, "--mode", "simulated", "--n", "100",
+         "--seed", "1", "--out", out],
+    ]
+    time.sleep(0.3)  # lets threads that earlier tests woke go back to sleep
+    busy = []
+    for argv in commands:
+        before = _other_threads_cpu_s()
+        assert run(argv) == 0
+        time.sleep(0.3)
+        busy.append((" ".join(argv), _other_threads_cpu_s() - before))
+    assert [(cmd, cpu_s) for cmd, cpu_s in busy if cpu_s >= 0.02] == []
 
 
 # --- client / serve ------------------------------------------------------------------

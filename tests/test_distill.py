@@ -80,8 +80,9 @@ def test_tap_point_validation():
     t = rand_t([3], 5)
     with pytest.raises(ShapeError):
         TapPoint(0, 1.0, t, rand_t([4], 6))
-    with pytest.raises(ArgumentError):
-        TapPoint(0, -0.5, t, t)
+    for lam in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ArgumentError):
+            TapPoint(0, lam, t, t)
 
 
 def test_lambda_linearity():
@@ -180,7 +181,7 @@ def test_toyhead_forward_is_affine():
 
 
 def test_backprop_weight_gradients_match_finite_differences():
-    from splitwire.distill import _stack_loss_and_grads
+    from splitwire.distill import _BatchPlan
 
     rng = np.random.default_rng(99)
     teacher = ToyHead.random([4, 6, 3, 5], tap_indices=(1, 2),
@@ -192,12 +193,12 @@ def test_backprop_weight_gradients_match_finite_differences():
     lambdas = [0.7, 1.3]
 
     grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in student.layers]
-    _stack_loss_and_grads(student, xb, targets, lambdas, grads)
+    plan = _BatchPlan([(l.weight, l.bias) for l in student.layers], grads,
+                      student.tap_indices, xb, targets, lambdas)
+    plan.loss_and_grads()
     gw = [w.copy() for w, _ in grads]
     gb = [b.copy() for _, b in grads]
-
-    def loss_now():
-        return _stack_loss_and_grads(student, xb, targets, lambdas, grads)
+    loss_now = plan.loss_and_grads
 
     h = 1e-6
     for l, layer in enumerate(student.layers):
@@ -222,6 +223,21 @@ def test_train_rejects_zero_epochs():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("lr0", [0.0, -1e-3, float("nan"), float("inf")])
+def test_train_config_rejects_bad_learning_rate(lr0):
+    with pytest.raises(ArgumentError):
+        TrainConfig(lr0=lr0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("-inf"), float("inf")])
+def test_bad_scale_factor_is_rejected(lam):
+    fx = get_fixture("rank3_bneck1", epochs=3)
+    with pytest.raises(ArgumentError):
+        train_toy(fx.teacher, fx.student, fx.data, fx.cfg, lambdas=[lam])
+    with pytest.raises(ArgumentError):
+        evaluate_loss(fx.teacher, fx.student, fx.data, lambdas=[lam])
+
+
 # SHA-256 of every final weight and bias, then of repr((epoch, mean_loss, lr))
 # for each epoch, from the per-array Adam trainer this flat one replaced
 TRAINED_DIGESTS = {
@@ -231,17 +247,66 @@ TRAINED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TRAINED_DIGESTS))
-def test_trained_fixture_is_bit_identical(name):
-    fx = get_fixture(name)
-    student, history = train_toy(fx.teacher, fx.student, fx.data, fx.cfg)
+def trained_digest(student, history):
     h = hashlib.sha256()
     for layer in student.layers:
         h.update(layer.weight.tobytes())
         h.update(layer.bias.tobytes())
     for e in history:
         h.update(repr((e.epoch, e.mean_loss, e.lr)).encode())
-    assert h.hexdigest() == TRAINED_DIGESTS[name]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRAINED_DIGESTS))
+def test_trained_fixture_is_bit_identical(name):
+    fx = get_fixture(name)
+    student, history = train_toy(fx.teacher, fx.student, fx.data, fx.cfg)
+    assert trained_digest(student, history) == TRAINED_DIGESTS[name]
+
+
+def multi_tap_stack():
+    teacher = ToyHead.random([6, 5, 4], tap_indices=(0, 1), bottleneck_index=None,
+                             seed=3, scale=1.0)
+    student = ToyHead.random([6, 5, 4], tap_indices=(0, 1), bottleneck_index=None,
+                             seed=4)
+    data = np.random.default_rng(5).normal(size=(24, 6))
+    cfg = TrainConfig(epochs=800, batch_size=8, lr0=0.05,
+                      lr_decay_factor=0.2, decay_epochs=(480, 640, 744), seed=0)
+    return teacher, student, data, cfg
+
+
+def branch_case(name):
+    """(teacher, student, data, cfg, lambdas) for a training branch that the
+    three fixtures do not reach."""
+    if name == "multi-tap":
+        return (*multi_tap_stack(), [0.5, 1.0])
+    if name == "ragged-batch":
+        # 30 samples at batch size 8: the last batch holds 6
+        fx = get_fixture("rank3_bneck1")
+        return fx.teacher, fx.student, fx.data[:30], fx.cfg, None
+    # tap and bottleneck on the middle layer; the last layer is never compared
+    teacher = ToyHead.random([6, 5, 3, 4], tap_indices=(1,), bottleneck_index=None,
+                             seed=7, scale=1.0)
+    student = ToyHead.random([6, 5, 3, 4], tap_indices=(1,), bottleneck_index=1, seed=8)
+    data = np.random.default_rng(9).normal(size=(24, 6))
+    cfg = TrainConfig(epochs=200, batch_size=8, lr0=0.02,
+                      lr_decay_factor=0.2, decay_epochs=(100, 150), seed=0)
+    return teacher, student, data, cfg, [2.0]
+
+
+# computed with the per-batch backprop that allocated its arrays on every step
+BRANCH_DIGESTS = {
+    "multi-tap": "8f8f7b287911792244f56e2c0cf11ecd8432b9b3954ab33b396767602e8917b1",
+    "ragged-batch": "ac7109e972535c7093ec3bd164cdb15af81ab62b41a6a182ec6a08c204ce1236",
+    "middle-tap": "ece4538d18359727261c1027fe442b87f816e12fd87c99cf8b99260395b6de83",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_DIGESTS))
+def test_trained_branch_is_bit_identical(name):
+    teacher, student, data, cfg, lambdas = branch_case(name)
+    trained, history = train_toy(teacher, student, data, cfg, lambdas=lambdas)
+    assert trained_digest(trained, history) == BRANCH_DIGESTS[name]
 
 
 @pytest.mark.parametrize("data, error", [([], ArgumentError),
@@ -313,14 +378,7 @@ def test_lr_schedule_applies_decay():
 
 
 def test_multi_tap_training_converges():
-    teacher = ToyHead.random([6, 5, 4], tap_indices=(0, 1), bottleneck_index=None,
-                             seed=3, scale=1.0)
-    student = ToyHead.random([6, 5, 4], tap_indices=(0, 1), bottleneck_index=None,
-                             seed=4)
-    rng = np.random.default_rng(5)
-    data = rng.normal(size=(24, 6))
-    cfg = TrainConfig(epochs=800, batch_size=8, lr0=0.05,
-                      lr_decay_factor=0.2, decay_epochs=(480, 640, 744), seed=0)
+    teacher, student, data, cfg = multi_tap_stack()
     trained, history = train_toy(teacher, student, data, cfg, lambdas=[0.5, 1.0])
     # same-architecture student can copy the teacher, so the floor is zero
     assert history[-1].mean_loss < history[0].mean_loss * 1e-4
