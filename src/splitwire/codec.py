@@ -5,7 +5,8 @@ The representable range is widened to include zero, so the round-trip error
 never exceeds scale/2 even for sign-definite tensors. Width 16 is a plain
 IEEE 754 binary16 cast with round-to-nearest-even; width 32 is an identity
 passthrough. Payload element order is row-major; 16- and 32-bit elements are
-stored little-endian.
+stored little-endian. Every quantizer raises CodecError on a NaN or infinite
+value, and so does ``dequantize``.
 
 This module only quantizes: the frame a payload travels in, and its byte
 accounting, belong to ``splitwire.pipeline.wire``.
@@ -13,11 +14,12 @@ accounting, belong to ``splitwire.pipeline.wire``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CodecError, ShapeError
+from .errors import CodecError
 from .tensor import Shape, Tensor
 
 __all__ = [
@@ -62,6 +64,15 @@ class QuantizedTensor:
         return self.shape.numel
 
 
+def _finite_range(t: Tensor) -> tuple[float, float]:
+    """The least and greatest value of ``t``; CodecError unless both are finite."""
+    m = float(t.data.min())
+    big = float(t.data.max())
+    if not (math.isfinite(m) and math.isfinite(big)):
+        raise CodecError(f"tensor {t.shape} holds NaN or Inf; only finite values quantize")
+    return m, big
+
+
 def quantize8(t: Tensor) -> QuantizedTensor:
     """8-bit affine quantization over the value range widened to include 0.
 
@@ -80,12 +91,7 @@ def quantize8(t: Tensor) -> QuantizedTensor:
     ``lo`` and ``hi``, in [0, 255]: the ``uint8`` cast never wraps and the
     round-trip error stays within scale/2.
     """
-    if t.numel < 1:
-        raise ShapeError("cannot quantize an empty tensor")
-    x = t.data
-    m = float(x.min())
-    big = float(x.max())
-
+    m, big = _finite_range(t)
     if big == m:
         return _quantize8_constant(t, m)
 
@@ -100,7 +106,7 @@ def quantize8(t: Tensor) -> QuantizedTensor:
         scale = float(np.nextafter(np.float32(scale), np.float32(np.inf)))
         zero_point = round(-lo / scale)
 
-    q = x.astype(np.float64)
+    q = t.data.astype(np.float64)
     q /= scale
     np.rint(q, out=q)
     q += zero_point
@@ -126,8 +132,9 @@ def quantize16(t: Tensor) -> QuantizedTensor:
     Values outside the binary16 range are clamped to +/-65504 and the result
     is flagged as saturated rather than rejected.
     """
+    m, big = _finite_range(t)
+    saturated = m < -BINARY16_MAX or big > BINARY16_MAX
     x = t.data
-    saturated = bool(np.any(np.abs(x) > BINARY16_MAX))
     if saturated:
         x = np.clip(x, -BINARY16_MAX, BINARY16_MAX)
     payload = x.astype("<f2").tobytes()
@@ -136,6 +143,7 @@ def quantize16(t: Tensor) -> QuantizedTensor:
 
 def passthrough32(t: Tensor) -> QuantizedTensor:
     """Identity passthrough: raw little-endian float32 payload."""
+    _finite_range(t)
     return QuantizedTensor(t.shape, 32, 1.0, 0, t.data.astype("<f4", copy=False).tobytes())
 
 

@@ -1,4 +1,4 @@
-"""Feature-mimic losses with analytic gradients, plus a toy trainer.
+"""Feature-mimic distillation of toy affine stacks, with an SVD oracle.
 
 The loss over a batch is the weighted sum, across tap points j, of the sum of
 squared errors between teacher and student outputs at that tap:
@@ -7,7 +7,8 @@ squared errors between teacher and student outputs at that tap:
 
 With a single tap and lam = 1 this reduces exactly to the plain SSE mimic
 loss. The gradient with respect to a student tap output is
-2 * lam_j * (s_j - t_j).
+2 * lam_j * (s_j - t_j). ``_BatchPlan`` owns both: the Adam trainer runs one
+plan per batch, and ``evaluate_loss`` one plan over the whole dataset.
 
 Toy models are stacks of affine maps. That scale is enough to exercise the
 loss math and the rank-limited compression behaviour of a narrow bottleneck
@@ -24,17 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError, RangeError, ShapeError, check_number
-from .tensor import Tensor
 
 __all__ = [
-    "TapPoint",
     "AffineLayer",
     "ToyHead",
     "TrainConfig",
     "EpochStats",
-    "sse_loss",
-    "generalized_loss",
-    "loss_grad",
     "train_toy",
     "evaluate_loss",
     "eckart_young_bound",
@@ -50,53 +46,6 @@ def _check_arg(name: str, value, **bounds) -> None:
         check_number(name, value, **bounds)
     except RangeError as exc:
         raise ArgumentError(str(exc)) from None
-
-
-# --- losses -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TapPoint:
-    """One compared layer output: index, scale factor, teacher and student."""
-
-    index: int
-    lam: float
-    teacher_out: Tensor
-    student_out: Tensor
-
-    def __post_init__(self):
-        _check_arg(f"tap {self.index}: scale factor", self.lam, at_least=0.0)
-        if self.teacher_out.shape != self.student_out.shape:
-            raise ShapeError(
-                f"tap {self.index}: teacher shape {self.teacher_out.shape} "
-                f"!= student shape {self.student_out.shape}"
-            )
-
-
-def sse_loss(t_out: Tensor, s_out: Tensor) -> float:
-    """Sum of squared errors between two tensors of equal shape."""
-    if t_out.shape != s_out.shape:
-        raise ShapeError(f"shape mismatch: {t_out.shape} vs {s_out.shape}")
-    d = t_out.data.astype(np.float64) - s_out.data.astype(np.float64)
-    return float(np.dot(d, d))
-
-
-def generalized_loss(taps: list[TapPoint]) -> float:
-    """Weighted sum of per-tap SSE losses."""
-    if not taps:
-        raise ArgumentError("need at least one tap point")
-    return sum(tap.lam * sse_loss(tap.teacher_out, tap.student_out) for tap in taps)
-
-
-def loss_grad(taps: list[TapPoint]) -> list[Tensor]:
-    """Gradient of generalized_loss w.r.t. each student tap output."""
-    if not taps:
-        raise ArgumentError("need at least one tap point")
-    grads = []
-    for tap in taps:
-        g = 2.0 * tap.lam * (tap.student_out.data.astype(np.float64)
-                             - tap.teacher_out.data.astype(np.float64))
-        grads.append(Tensor(tap.student_out.shape, g.astype(np.float32)))
-    return grads
 
 
 # --- toy affine stacks ------------------------------------------------------
@@ -127,9 +76,9 @@ class AffineLayer:
 class ToyHead:
     """Stack of affine layers with tap points and an optional bottleneck.
 
-    ``tap_indices`` are 0-based layer indices whose outputs are exposed for
-    the mimic loss. The bottleneck layer, when set, must be strictly narrower
-    than both neighbours.
+    ``tap_indices`` are distinct 0-based layer indices whose outputs are
+    exposed for the mimic loss. The bottleneck layer, when set, must be
+    strictly narrower than both neighbours.
     """
 
     layers: list[AffineLayer]
@@ -149,6 +98,8 @@ class ToyHead:
                 )
         if not self.tap_indices:
             raise ArgumentError("need at least one tap index")
+        if len(set(self.tap_indices)) != len(self.tap_indices):
+            raise ArgumentError(f"tap indices {self.tap_indices} repeat a layer")
         for j in self.tap_indices:
             if not 0 <= j < len(self.layers):
                 raise ArgumentError(f"tap index {j} out of range")
@@ -263,7 +214,7 @@ def _layer_views(flat: np.ndarray,
 
 
 class _BatchPlan:
-    """One batch's training step over fixed buffers.
+    """One batch's loss and its gradients, over fixed buffers.
 
     The plan holds the batch, its teacher taps and scale factors, one output
     buffer per layer up to the last tap, one backprop buffer per layer below
@@ -286,7 +237,7 @@ class _BatchPlan:
                         for h, (w, b), out in zip(inputs, params, outs)]
         self.taps = []
         resid = {}
-        for j, k in {j: k for k, j in enumerate(tap_indices)}.items():
+        for k, j in enumerate(tap_indices):
             resid[j] = np.empty_like(outs[j])
             self.taps.append((outs[j], teacher_taps[k], resid[j],
                               np.empty_like(outs[j]), lambdas[k], 2.0 * lambdas[k]))
@@ -332,6 +283,16 @@ def _scale_factors(lambdas: list[float] | None, n_taps: int) -> list[float]:
     return list(lambdas)
 
 
+def _check_aligned(teacher: ToyHead, student: ToyHead) -> None:
+    if teacher.tap_dims() != student.tap_dims():
+        raise ShapeError(
+            f"tap misalignment: teacher dims {teacher.tap_dims()} vs "
+            f"student dims {student.tap_dims()}"
+        )
+    if teacher.in_dim != student.in_dim:
+        raise ShapeError("teacher and student input dims differ")
+
+
 def train_toy(teacher: ToyHead, student: ToyHead, dataset,
               cfg: TrainConfig,
               lambdas: list[float] | None = None) -> tuple[ToyHead, list[EpochStats]]:
@@ -359,13 +320,7 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
     are not run: their gradient stays zero, so Adam leaves them unchanged,
     as before.
     """
-    if teacher.tap_dims() != student.tap_dims():
-        raise ShapeError(
-            f"tap misalignment: teacher dims {teacher.tap_dims()} vs "
-            f"student dims {student.tap_dims()}"
-        )
-    if teacher.in_dim != student.in_dim:
-        raise ShapeError("teacher and student input dims differ")
+    _check_aligned(teacher, student)
     lambdas = _scale_factors(lambdas, len(student.tap_indices))
 
     x = _as_data_matrix(dataset)
@@ -418,17 +373,18 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
 
 def evaluate_loss(teacher: ToyHead, student: ToyHead, dataset,
                   lambdas: list[float] | None = None) -> float:
-    """Generalized loss summed over the whole dataset as one batch."""
-    if teacher.tap_dims() != student.tap_dims():
-        raise ShapeError("tap misalignment between teacher and student")
+    """Generalized loss summed over the whole dataset as one batch.
+
+    The batch is one ``_BatchPlan``, the trainer's own loss, whose gradients
+    go to scratch buffers and are dropped.
+    """
+    _check_aligned(teacher, student)
     lambdas = _scale_factors(lambdas, len(student.tap_indices))
     x = _as_data_matrix(dataset)
-    total = 0.0
-    for lam, t_out, s_out in zip(lambdas, teacher.tap_outputs(x),
-                                 student.tap_outputs(x)):
-        resid = s_out - t_out
-        total += lam * float(np.sum(resid * resid))
-    return total
+    params = [(layer.weight, layer.bias) for layer in student.layers]
+    scratch = [(np.empty_like(w), np.empty_like(b)) for w, b in params]
+    return _BatchPlan(params, scratch, student.tap_indices, x,
+                      teacher.tap_outputs(x), lambdas).loss_and_grads()
 
 
 def write_history_csv(history: list[EpochStats], path: str) -> None:

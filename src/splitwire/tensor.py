@@ -53,12 +53,14 @@ class Shape:
 
 
 class Tensor:
-    """Immutable rank-N array of finite float32 values.
+    """Immutable rank-N array of float32 values.
 
     A tensor owns its array and marks it read-only. ``Tensor(shape, data)``
     copies ``data``, so the caller may go on writing to its array. Code in
     this package that has just allocated an array and hands it over keeps it
-    with ``Tensor._adopt`` instead, without the copy.
+    with ``Tensor._adopt`` instead, without the copy. Construction does not
+    check that the values are finite: ``make_tensor`` rejects NaN and Inf
+    with RangeError, and every quantizer and ``dequantize`` with CodecError.
     """
 
     __slots__ = ("shape", "_data")
@@ -119,8 +121,8 @@ class Tensor:
 def make_tensor(shape: Shape | Sequence[int], values: Sequence[float]) -> Tensor:
     """Build a tensor owning a copy of ``values``.
 
-    Raises ShapeError on a length mismatch and ValueError if any value is
-    NaN or infinite (the codec needs finite min/max to derive scales).
+    Raises ShapeError on a length mismatch and RangeError if any value is
+    NaN or infinite.
     """
     if not isinstance(shape, Shape):
         shape = Shape(shape)
@@ -130,7 +132,7 @@ def make_tensor(shape: Shape | Sequence[int], values: Sequence[float]) -> Tensor
             f"got {arr.size} values for shape {shape} (numel {shape.numel})"
         )
     if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor values must be finite (no NaN/Inf)")
+        raise RangeError("tensor values must be finite (no NaN/Inf)")
     return Tensor(shape, arr)
 
 

@@ -13,13 +13,11 @@ import pytest
 from splitwire.codec import dequantize, passthrough32, quantize8, quantize16
 from splitwire.config import load_reference_config
 from splitwire.distill import (
-    TapPoint,
+    ToyHead,
+    _BatchPlan,
     eckart_young_bound,
     evaluate_loss,
-    generalized_loss,
     get_fixture,
-    loss_grad,
-    sse_loss,
     train_toy,
 )
 from splitwire.errors import ProtocolError
@@ -42,7 +40,7 @@ from splitwire.pipeline.wire import (
     encode_message,
     ratio_vs,
 )
-from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
+from splitwire.tensor import Shape, make_tensor, random_fill
 
 IMAGE = Shape([3, 874, 1044])
 
@@ -109,44 +107,54 @@ def test_c03_quantization_round_trip_bound():
         assert time.monotonic() - start < 10.0
 
 
+def plan_gradients(teacher, student, data, lambdas):
+    """Each student layer's (weight, bias) gradient of ``evaluate_loss``, from
+    the trainer's batch plan over the whole dataset."""
+    grads = [(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
+             for layer in student.layers]
+    _BatchPlan([(layer.weight, layer.bias) for layer in student.layers], grads,
+               student.tap_indices, data, teacher.tap_outputs(data),
+               lambdas).loss_and_grads()
+    return grads
+
+
 def test_c04_loss_reduction_and_gradients():
     with criterion(4, "single-tap reduction exact; gradients match FD < 1e-4"):
+        dims = [5, 4, 3, 4]
+        rng = np.random.default_rng(404)
         for seed in range(200):
-            t = random_fill(Shape([11]), seed, -3.0, 3.0)
-            s = random_fill(Shape([11]), seed + 5000, -3.0, 3.0)
-            assert generalized_loss([TapPoint(0, 1.0, t, s)]) == sse_loss(t, s)
+            tap = (seed % 3,)
+            teacher = ToyHead.random(dims, tap, None, seed=seed, scale=1.0)
+            student = ToyHead.random(dims, tap, None, seed=seed + 5000)
+            x = rng.normal(size=(int(rng.integers(1, 12)), dims[0]))
+            d = student.tap_outputs(x)[0] - teacher.tap_outputs(x)[0]
+            assert evaluate_loss(teacher, student, x) == float(np.sum(d * d))
 
+        # the loss is quadratic in any one parameter, so a wide step is exact
+        # up to rounding
+        h = 1e-3
         worst = 0.0
         for seed in range(100):
-            taps = [
-                TapPoint(0, 1.0 + (seed % 4) * 0.5,
-                         random_fill(Shape([5]), seed, -2.0, 2.0),
-                         random_fill(Shape([5]), seed + 900, -2.0, 2.0)),
-                TapPoint(1, 2.0,
-                         random_fill(Shape([3]), seed + 1800, -2.0, 2.0),
-                         random_fill(Shape([3]), seed + 2700, -2.0, 2.0)),
-            ]
-            grads = loss_grad(taps)
-            for tap_idx, tap in enumerate(taps):
-                for elem in range(tap.student_out.numel):
-                    base = tap.student_out.data.copy()
-                    plus, minus = base.copy(), base.copy()
-                    plus[elem] = np.float32(float(base[elem]) + 1e-4)
-                    minus[elem] = np.float32(float(base[elem]) - 1e-4)
-                    step = float(plus[elem]) - float(minus[elem])
-
-                    def loss_at(values, _tap=tap, _idx=tap_idx):
-                        probe = list(taps)
-                        probe[_idx] = TapPoint(_tap.index, _tap.lam,
-                                               _tap.teacher_out,
-                                               Tensor(_tap.student_out.shape,
-                                                      values))
-                        return generalized_loss(probe)
-
-                    fd = (loss_at(plus) - loss_at(minus)) / step
-                    g = float(grads[tap_idx].data[elem])
-                    rel = abs(g - fd) / max(abs(g), abs(fd), 1e-8)
-                    worst = max(worst, rel)
+            taps = tuple(sorted(rng.choice(3, size=2 + seed % 2, replace=False).tolist()))
+            lambdas = [float(lam) for lam in rng.choice([0.25, 0.5, 1.5, 2.0, 3.0],
+                                                        size=len(taps))]
+            teacher = ToyHead.random(dims, taps, None, seed=seed, scale=1.0)
+            student = ToyHead.random(dims, taps, None, seed=seed + 900)
+            x = rng.normal(size=(6, dims[0]))
+            grads = plan_gradients(teacher, student, x, lambdas)
+            for layer, layer_grads in zip(student.layers, grads):
+                for param, grad in zip((layer.weight, layer.bias), layer_grads):
+                    for idx in np.ndindex(param.shape):
+                        orig = param[idx]
+                        param[idx] = orig + h
+                        up = evaluate_loss(teacher, student, x, lambdas)
+                        param[idx] = orig - h
+                        down = evaluate_loss(teacher, student, x, lambdas)
+                        param[idx] = orig
+                        fd = (up - down) / (2 * h)
+                        g = float(grad[idx])
+                        rel = abs(g - fd) / max(abs(g), abs(fd), 1e-8)
+                        worst = max(worst, rel)
         assert worst < 1e-4, worst
 
 

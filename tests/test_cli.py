@@ -160,6 +160,36 @@ def test_codec_corrupt_input_exits_3(tmp_path):
                 "--out", str(tmp_path / "out.bin")]) == 3
 
 
+# SHA-256 over, for width 8 then 16: the stdout of `codec quantize`, its output
+# file, the stdout of `codec dequantize` on that file and its output file
+CODEC_DIGESTS = {
+    "mixed-sign": ([3, 9, 9], 1, -1.0, 1.0,
+                   "a3c8eee0fd5f70c4e8d8b2355cc33e21c9d306d042da9876f26e8f6719d24cb9"),
+    "sign-definite": ([4, 16, 16], 2, 0.5, 3.0,
+                      "66f6393dbdc5bfc17b6bdb8344d717dd9e1d97978a64b3a797d841fbaf7cbf1e"),
+    "beyond-binary16": ([2, 8, 8], 3, -1.0e5, 1.0e5,
+                        "1ea8da9f47118719b6d6e3cd206aeef031d79f77fdf8e84ac46e68048ef31fbb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODEC_DIGESTS))
+def test_codec_outputs_are_byte_identical(case, tmp_path, monkeypatch, capsys):
+    dims, seed, lo, hi, digest = CODEC_DIGESTS[case]
+    monkeypatch.chdir(tmp_path)
+    save_message("tensor.bin", tensor_to_message(random_fill(Shape(dims), seed, lo, hi)))
+    h = hashlib.sha256()
+    for width in ("8", "16"):
+        assert run(["codec", "quantize", "--in", "tensor.bin", "--out", f"q{width}.bin",
+                    "--width", width]) == 0
+        h.update(capsys.readouterr().out.encode())
+        h.update(Path(f"q{width}.bin").read_bytes())
+        assert run(["codec", "dequantize", "--in", f"q{width}.bin",
+                    "--out", f"back{width}.bin"]) == 0
+        h.update(capsys.readouterr().out.encode())
+        h.update(Path(f"back{width}.bin").read_bytes())
+    assert h.hexdigest() == digest
+
+
 # --- netspec ----------------------------------------------------------------------
 
 def test_netspec_student_ratio_printed(capsys, ref_path):

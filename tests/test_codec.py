@@ -25,7 +25,7 @@ from splitwire.pipeline.wire import (
     ratio_vs,
     wire_header_bytes,
 )
-from splitwire.tensor import Shape, make_tensor, random_fill
+from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
 
 
 # --- independent oracles ------------------------------------------------------
@@ -214,6 +214,25 @@ def test_quantize16_saturates_with_flag():
     assert q.saturated
     out = dequantize(q).tolist()
     assert out == [BINARY16_MAX, -BINARY16_MAX]
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 65504.0), (-65504.0, 65504.0),
+                                    (-65600.0, 0.0), (1.0, 70000.0), (-1e9, 1e9)])
+def test_quantize16_saturated_exactly_when_a_value_leaves_binary16(lo, hi):
+    t = random_fill(Shape([64]), seed=25, lo=lo, hi=hi)
+    t = make_tensor([66], [*t.tolist(), lo, np.nextafter(np.float32(hi), np.float32(lo))])
+    assert quantize16(t).saturated == bool(np.any(np.abs(t.data) > BINARY16_MAX))
+
+
+@pytest.mark.parametrize("quantize", [quantize8, quantize16, passthrough32])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_quantizers_reject_non_finite_values(quantize, bad):
+    # Tensor() itself does not check its values; the codec does
+    t = Tensor(Shape([4]), np.array([0.5, bad, -0.25, 1.0], dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CodecError, match="NaN or Inf"):
+            quantize(t)
 
 
 # --- dequantize -----------------------------------------------------------------

@@ -5,157 +5,63 @@ import pytest
 
 from splitwire.distill import (
     AffineLayer,
-    TapPoint,
     ToyHead,
     TrainConfig,
     eckart_young_bound,
     evaluate_loss,
-    generalized_loss,
     get_fixture,
-    loss_grad,
-    sse_loss,
     train_toy,
     write_history_csv,
 )
 from splitwire.errors import ArgumentError, ShapeError
-from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
 
 
-def rand_t(shape, seed, lo=-2.0, hi=2.0):
-    return random_fill(Shape(shape), seed, lo, hi)
+# --- evaluate_loss ----------------------------------------------------------------
+
+def two_tap_stack(seed):
+    """Teacher and student 6 -> 5 -> 4 stacks tapped at both layers."""
+    teacher = ToyHead.random([6, 5, 4], tap_indices=(0, 1), bottleneck_index=None,
+                             seed=seed, scale=1.0)
+    student = ToyHead.random([6, 5, 4], tap_indices=(0, 1), bottleneck_index=None,
+                             seed=seed + 1000)
+    data = np.random.default_rng(seed).normal(size=(7, 6))
+    return teacher, student, data
 
 
-# --- sse_loss -------------------------------------------------------------------
+def constant_head(first, second):
+    """A 1 -> 2 -> 3 stack, tapped at both layers, whose outputs are its biases."""
+    return ToyHead([AffineLayer(np.zeros((2, 1)), first),
+                    AffineLayer(np.zeros((3, 2)), second)], tap_indices=(0, 1))
 
-def test_sse_zero_when_equal():
-    t = rand_t([7], 1)
-    assert sse_loss(t, t) == 0.0
-
-
-def test_sse_arithmetic():
-    assert sse_loss(make_tensor([2], [1, 2]), make_tensor([2], [0, 0])) == 5.0
-
-
-def test_sse_symmetry():
-    a, b = rand_t([9], 2), rand_t([9], 3)
-    assert sse_loss(a, b) == sse_loss(b, a)
-
-
-def test_sse_shape_mismatch():
-    with pytest.raises(ShapeError):
-        sse_loss(rand_t([2], 1), rand_t([3], 1))
-
-
-# --- generalized_loss -------------------------------------------------------------
 
 def test_generalized_zero_when_all_match():
-    t = rand_t([5], 4)
-    taps = [TapPoint(0, 1.0, t, t), TapPoint(1, 2.0, t, t)]
-    assert generalized_loss(taps) == 0.0
+    for seed in range(10):
+        teacher, _, data = two_tap_stack(seed)
+        assert evaluate_loss(teacher, teacher, data, lambdas=[1.0, 2.0]) == 0.0
 
 
 def test_generalized_weighted_sum():
     # integer-exact residuals: sse values 5 and 3, weights 1 and 2 -> 11
-    taps = [
-        TapPoint(0, 1.0, make_tensor([2], [0, 0]), make_tensor([2], [1, 2])),
-        TapPoint(1, 2.0, make_tensor([3], [0, 0, 0]), make_tensor([3], [1, 1, 1])),
-    ]
-    assert generalized_loss(taps) == 11.0
-
-
-def test_single_tap_reduces_to_sse_exactly():
-    for seed in range(25):
-        t, s = rand_t([13], seed), rand_t([13], seed + 100)
-        assert generalized_loss([TapPoint(0, 1.0, t, s)]) == sse_loss(t, s)
-
-
-def test_generalized_rejects_empty_taps():
-    with pytest.raises(ArgumentError):
-        generalized_loss([])
-    with pytest.raises(ArgumentError):
-        loss_grad([])
-
-
-def test_tap_point_validation():
-    t = rand_t([3], 5)
-    with pytest.raises(ShapeError):
-        TapPoint(0, 1.0, t, rand_t([4], 6))
-    for lam in (-0.5, float("nan"), float("inf")):
-        with pytest.raises(ArgumentError):
-            TapPoint(0, lam, t, t)
+    teacher = constant_head([0.0, 0.0], [0.0, 0.0, 0.0])
+    student = constant_head([1.0, 2.0], [1.0, 1.0, 1.0])
+    assert evaluate_loss(teacher, student, np.ones((1, 1)), lambdas=[1.0, 2.0]) == 11.0
 
 
 def test_lambda_linearity():
-    base = [TapPoint(0, 0.7, rand_t([6], 7), rand_t([6], 8)),
-            TapPoint(1, 1.3, rand_t([4], 9), rand_t([4], 10))]
+    teacher, student, data = two_tap_stack(7)
+    base = [0.7, 1.3]
     c = 3.5
-    scaled = [TapPoint(p.index, c * p.lam, p.teacher_out, p.student_out)
-              for p in base]
-    assert generalized_loss(scaled) == pytest.approx(c * generalized_loss(base),
-                                                     rel=1e-12)
-    for g_scaled, g_base in zip(loss_grad(scaled), loss_grad(base)):
-        np.testing.assert_allclose(g_scaled.data, c * g_base.data.astype(np.float64),
-                                   rtol=1e-5)
+    assert (evaluate_loss(teacher, student, data, lambdas=[c * lam for lam in base])
+            == pytest.approx(c * evaluate_loss(teacher, student, data, lambdas=base),
+                             rel=1e-12))
 
 
 def test_loss_nonnegative_and_zero_only_at_match():
     for seed in range(30):
-        t = rand_t([9], seed)
-        s = rand_t([9], seed + 400)
-        loss = generalized_loss([TapPoint(0, 1.5, t, s)])
-        if t == s:
-            assert loss == 0.0
-        else:
-            assert loss > 0.0
-
-
-# --- loss_grad against central finite differences ---------------------------------
-
-def fd_grad(taps, tap_idx, elem_idx, h=1e-4):
-    """Central finite differences with the actual float32 step applied."""
-    tap = taps[tap_idx]
-    base = tap.student_out.data.copy()
-    plus, minus = base.copy(), base.copy()
-    plus[elem_idx] = np.float32(float(base[elem_idx]) + h)
-    minus[elem_idx] = np.float32(float(base[elem_idx]) - h)
-    step = float(plus[elem_idx]) - float(minus[elem_idx])
-
-    def at(values):
-        replaced = TapPoint(tap.index, tap.lam, tap.teacher_out,
-                            Tensor(tap.student_out.shape, values))
-        probe = list(taps)
-        probe[tap_idx] = replaced
-        return generalized_loss(probe)
-
-    return (at(plus) - at(minus)) / step
-
-
-def test_grad_zero_when_matched():
-    t = rand_t([5], 20)
-    g = loss_grad([TapPoint(0, 1.0, t, t)])[0]
-    assert np.all(g.data == 0.0)
-
-
-def test_grad_simple_value():
-    taps = [TapPoint(0, 1.0, make_tensor([1], [1.0]), make_tensor([1], [3.0]))]
-    assert loss_grad(taps)[0].tolist() == [4.0]
-
-
-def test_grad_matches_finite_differences_100_seeds():
-    worst = 0.0
-    for seed in range(100):
-        taps = [
-            TapPoint(0, 0.5 + (seed % 3), rand_t([6], seed), rand_t([6], seed + 1000)),
-            TapPoint(1, 1.0, rand_t([4], seed + 2000), rand_t([4], seed + 3000)),
-        ]
-        grads = loss_grad(taps)
-        for tap_idx in (0, 1):
-            for elem_idx in (0, taps[tap_idx].student_out.numel - 1):
-                analytic = float(grads[tap_idx].data[elem_idx])
-                numeric = fd_grad(taps, tap_idx, elem_idx)
-                denom = max(abs(analytic), abs(numeric), 1e-8)
-                worst = max(worst, abs(analytic - numeric) / denom)
-    assert worst < 1e-4
+        teacher, student, data = two_tap_stack(seed)
+        loss = evaluate_loss(teacher, student, data, lambdas=[1.5, 0.5])
+        assert loss > 0.0
+        assert loss == evaluate_loss(student, teacher, data, lambdas=[1.5, 0.5])
 
 
 # --- ToyHead ----------------------------------------------------------------------
@@ -171,6 +77,14 @@ def test_toyhead_bottleneck_must_be_narrow():
         ToyHead([AffineLayer(np.zeros((4, 4)), np.zeros(4)),
                  AffineLayer(np.zeros((4, 4)), np.zeros(4))],
                 tap_indices=(1,), bottleneck_index=0)
+
+
+@pytest.mark.parametrize("taps", [(), (0, 0), (1, 0, 1)],
+                         ids=["none", "repeated", "repeated-apart"])
+def test_toyhead_rejects_empty_or_repeated_tap_indices(taps):
+    # a repeated tap would count once in the loss, with its last scale factor
+    with pytest.raises(ArgumentError):
+        ToyHead.random([6, 3, 5], tap_indices=taps, bottleneck_index=None, seed=1)
 
 
 def test_toyhead_forward_is_affine():
@@ -257,11 +171,21 @@ def trained_digest(student, history):
     return h.hexdigest()
 
 
+# evaluate_loss of each trained fixture, from the per-tap loop that summed the
+# residuals before the loss ran through the trainer's batch plan
+FINAL_LOSSES = {
+    "rank2_full": 1.8938150625645787e-29,
+    "rank3_bneck1": 320.77735660752217,
+    "rank4_bneck2": 438.4782813497002,
+}
+
+
 @pytest.mark.parametrize("name", sorted(TRAINED_DIGESTS))
 def test_trained_fixture_is_bit_identical(name):
     fx = get_fixture(name)
     student, history = train_toy(fx.teacher, fx.student, fx.data, fx.cfg)
     assert trained_digest(student, history) == TRAINED_DIGESTS[name]
+    assert evaluate_loss(fx.teacher, student, fx.data) == FINAL_LOSSES[name]
 
 
 def multi_tap_stack():
@@ -326,6 +250,8 @@ def test_train_rejects_tap_misalignment():
                                  bottleneck_index=0, seed=1)
     with pytest.raises(ShapeError):
         train_toy(fx.teacher, bad_student, fx.data, fx.cfg)
+    with pytest.raises(ShapeError):
+        evaluate_loss(fx.teacher, bad_student, fx.data)
 
 
 def test_full_width_fixture_reaches_zero_loss():

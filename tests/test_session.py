@@ -16,7 +16,7 @@ from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
 from splitwire.pipeline.wire import (MAGIC, detection_result_message, encode_message,
                                     quantized_to_message, wire_header_bytes)
-from splitwire.tensor import Shape, make_tensor, random_fill
+from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
 
 PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
                         t_tail=0.04, t_filter_extra=0.004)
@@ -284,6 +284,19 @@ def test_failed_verify_closes_the_socket_and_the_server_serves_on(monkeypatch,
         log = run_session(images, PROF, ChannelModel(80e3), SHARP_FM, mode="socket",
                           seed=28, server_addr=srv.address)
     assert not log.records[0].filtered
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_non_finite_tensor_is_a_codec_error_before_the_send(width, client_sockets):
+    events, _ = client_sockets
+    vals = np.full(3 * 8 * 8, 0.5, dtype=np.float32)
+    vals[7] = np.nan
+    images = [(Tensor(Shape([3, 8, 8]), vals), False)]
+    with PipelineServer(prof=PROF) as srv:
+        with pytest.raises(CodecError, match="NaN or Inf"):
+            run_session(images, PROF, CH, SHARP_FM, mode="socket", seed=29, width=width,
+                        server_addr=srv.address)
+    assert events == []
 
 
 def test_bad_version_is_rejected_after_the_prefix():

@@ -19,9 +19,9 @@ def test_make_tensor_length_mismatch():
 
 
 def test_make_tensor_rejects_nan_and_inf():
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError):
         make_tensor(Shape([1]), [float("nan")])
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError):
         make_tensor(Shape([2]), [1.0, float("inf")])
 
 
