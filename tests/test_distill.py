@@ -34,6 +34,106 @@ def constant_head(first, second):
                     AffineLayer(np.zeros((3, 2)), second)], tap_indices=(0, 1))
 
 
+def single_tap_stack(seed, width=13):
+    """Teacher and student 4 -> width stacks with one tap."""
+    teacher = ToyHead.random([4, width], tap_indices=(0,), bottleneck_index=None,
+                             seed=seed, scale=1.0)
+    student = ToyHead.random([4, width], tap_indices=(0,), bottleneck_index=None,
+                             seed=seed + 100)
+    data = np.random.default_rng(seed).normal(size=(3, 4))
+    return teacher, student, data
+
+
+def bias_head(bias):
+    """A 1 -> len(bias) stack, tapped once, whose output is its bias."""
+    return ToyHead([AffineLayer(np.zeros((len(bias), 1)), np.asarray(bias, float))],
+                   tap_indices=(0,))
+
+
+def plan_gradients(teacher, student, data, lambdas):
+    """Each student layer's (weight, bias) gradient of ``evaluate_loss``."""
+    from splitwire.distill import _BatchPlan
+
+    grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in student.layers]
+    _BatchPlan([(l.weight, l.bias) for l in student.layers], grads,
+               student.tap_indices, data, teacher.tap_outputs(data),
+               lambdas).loss_and_grads()
+    return grads
+
+
+def test_sse_zero_when_equal():
+    teacher, _, data = single_tap_stack(1, width=7)
+    assert evaluate_loss(teacher, teacher, data) == 0.0
+
+
+def test_sse_arithmetic():
+    assert evaluate_loss(bias_head([0, 0]), bias_head([1, 2]), np.ones((1, 1))) == 5.0
+
+
+def test_sse_symmetry():
+    teacher, student, data = single_tap_stack(2, width=9)
+    assert evaluate_loss(teacher, student, data) == evaluate_loss(student, teacher, data)
+
+
+def test_sse_shape_mismatch():
+    with pytest.raises(ShapeError):
+        evaluate_loss(bias_head([0, 0]), bias_head([0, 0, 0]), np.ones((1, 1)))
+
+
+def test_single_tap_reduces_to_sse_exactly():
+    for seed in range(25):
+        teacher, student, data = single_tap_stack(seed)
+        d = student.tap_outputs(data)[0] - teacher.tap_outputs(data)[0]
+        assert evaluate_loss(teacher, student, data) == float(np.sum(d * d))
+
+
+def test_tap_point_validation():
+    with pytest.raises(ShapeError):
+        evaluate_loss(bias_head([0, 0, 0]), bias_head([0, 0, 0, 0]), np.ones((1, 1)))
+    teacher, student, data = single_tap_stack(5, width=3)
+    for lam in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ArgumentError):
+            evaluate_loss(teacher, student, data, lambdas=[lam])
+
+
+def test_grad_zero_when_matched():
+    teacher, _, data = single_tap_stack(20, width=5)
+    for gw, gb in plan_gradients(teacher, teacher, data, [1.0]):
+        assert np.all(gw == 0.0) and np.all(gb == 0.0)
+
+
+def test_grad_simple_value():
+    # residual 3 - 1 = 2 at input 1: both gradients are 2 * 2 * 1
+    [(gw, gb)] = plan_gradients(bias_head([1.0]), bias_head([3.0]),
+                                np.ones((1, 1)), [1.0])
+    assert gw.tolist() == [[4.0]] and gb.tolist() == [4.0]
+
+
+def test_grad_matches_finite_differences_100_seeds():
+    # the loss is quadratic in any one parameter, so a wide step is exact up
+    # to rounding
+    h = 1e-3
+    worst = 0.0
+    for seed in range(100):
+        teacher, student, data = two_tap_stack(seed)
+        lambdas = [0.5 + (seed % 3), 1.0]
+        grads = plan_gradients(teacher, student, data, lambdas)
+        for layer, layer_grads in zip(student.layers, grads):
+            for param, grad in zip((layer.weight, layer.bias), layer_grads):
+                for idx in {(0,) * param.ndim, tuple(d - 1 for d in param.shape)}:
+                    orig = param[idx]
+                    param[idx] = orig + h
+                    up = evaluate_loss(teacher, student, data, lambdas)
+                    param[idx] = orig - h
+                    down = evaluate_loss(teacher, student, data, lambdas)
+                    param[idx] = orig
+                    numeric = (up - down) / (2 * h)
+                    analytic = float(grad[idx])
+                    denom = max(abs(analytic), abs(numeric), 1e-8)
+                    worst = max(worst, abs(analytic - numeric) / denom)
+    assert worst < 1e-4, worst
+
+
 def test_generalized_zero_when_all_match():
     for seed in range(10):
         teacher, _, data = two_tap_stack(seed)
