@@ -60,7 +60,8 @@ class Tensor:
     this package that has just allocated an array and hands it over keeps it
     with ``Tensor._adopt`` instead, without the copy. Construction does not
     check that the values are finite: ``make_tensor`` rejects NaN and Inf
-    with RangeError, and every quantizer and ``dequantize`` with CodecError.
+    with RangeError, and ``quantize8``, ``quantize16`` and ``dequantize`` with
+    CodecError.
     """
 
     __slots__ = ("shape", "_data")

@@ -14,7 +14,6 @@ from splitwire.codec import dequantize, passthrough32, quantize8, quantize16
 from splitwire.config import load_reference_config
 from splitwire.distill import (
     ToyHead,
-    _BatchPlan,
     eckart_young_bound,
     evaluate_loss,
     get_fixture,
@@ -41,6 +40,7 @@ from splitwire.pipeline.wire import (
     ratio_vs,
 )
 from splitwire.tensor import Shape, make_tensor, random_fill
+from test_distill import plan_gradients
 
 IMAGE = Shape([3, 874, 1044])
 
@@ -105,17 +105,6 @@ def test_c03_quantization_round_trip_bound():
             const = make_tensor([7], [np.float32(c)] * 7)
             assert dequantize(quantize8(const)) == const
         assert time.monotonic() - start < 10.0
-
-
-def plan_gradients(teacher, student, data, lambdas):
-    """Each student layer's (weight, bias) gradient of ``evaluate_loss``, from
-    the trainer's batch plan over the whole dataset."""
-    grads = [(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-             for layer in student.layers]
-    _BatchPlan([(layer.weight, layer.bias) for layer in student.layers], grads,
-               student.tap_indices, data, teacher.tap_outputs(data),
-               lambdas).loss_and_grads()
-    return grads
 
 
 def test_c04_loss_reduction_and_gradients():

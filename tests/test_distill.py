@@ -7,6 +7,7 @@ from splitwire.distill import (
     AffineLayer,
     ToyHead,
     TrainConfig,
+    _BatchPlan,
     eckart_young_bound,
     evaluate_loss,
     get_fixture,
@@ -51,11 +52,11 @@ def bias_head(bias):
 
 
 def plan_gradients(teacher, student, data, lambdas):
-    """Each student layer's (weight, bias) gradient of ``evaluate_loss``."""
-    from splitwire.distill import _BatchPlan
-
-    grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in student.layers]
-    _BatchPlan([(l.weight, l.bias) for l in student.layers], grads,
+    """Each student layer's (weight, bias) gradient of ``evaluate_loss``, from
+    the trainer's batch plan over the whole dataset."""
+    grads = [(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
+             for layer in student.layers]
+    _BatchPlan([(layer.weight, layer.bias) for layer in student.layers], grads,
                student.tap_indices, data, teacher.tap_outputs(data),
                lambdas).loss_and_grads()
     return grads

@@ -286,7 +286,7 @@ def test_failed_verify_closes_the_socket_and_the_server_serves_on(monkeypatch,
     assert not log.records[0].filtered
 
 
-@pytest.mark.parametrize("width", [8, 16, 32])
+@pytest.mark.parametrize("width", [8, 16])
 def test_non_finite_tensor_is_a_codec_error_before_the_send(width, client_sockets):
     events, _ = client_sockets
     vals = np.full(3 * 8 * 8, 0.5, dtype=np.float32)
