@@ -18,7 +18,7 @@ from .errors import (
     SplitwireError,
     TransportError,
 )
-from .tensor import Shape, Tensor, make_tensor, random_fill, sub
+from .tensor import Shape, Tensor, make_tensor, random_fill
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,5 @@ __all__ = [
     "Tensor",
     "make_tensor",
     "random_fill",
-    "sub",
     "__version__",
 ]

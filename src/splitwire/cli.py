@@ -19,7 +19,6 @@ from .config import Config, load_config, reference_config_path
 from .errors import (
     ArgumentError,
     CodecError,
-    NoCrossoverError,
     ProtocolError,
     RangeError,
     ShapeError,
@@ -303,8 +302,7 @@ def main(argv=None) -> int:
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ShapeError, RangeError, CodecError, ProtocolError,
-            NoCrossoverError) as exc:
+    except (ShapeError, RangeError, CodecError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TransportError as exc:

@@ -8,7 +8,7 @@ from importlib import resources
 
 from .errors import ArgumentError, RangeError
 from .latency import ChannelModel, ExecutionProfile, PayloadSizes
-from .netspec import NetworkSpec, builtin_specs, spec_from_dict
+from .netspec import NetworkSpec, get_builtin_spec, spec_from_dict
 from .pipeline.filtergate import FilterModel
 
 __all__ = ["Config", "load_config", "reference_config_path", "load_reference_config"]
@@ -31,13 +31,7 @@ class Config:
         """Config-defined specs first, then the built-in fixtures."""
         if name in self.netspecs:
             return self.netspecs[name]
-        builtins = builtin_specs()
-        if name in builtins:
-            return builtins[name]
-        raise ArgumentError(
-            f"unknown netspec {name!r}; config defines {sorted(self.netspecs)} "
-            f"and built-ins are {sorted(builtins)}"
-        )
+        return get_builtin_spec(name)
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -63,10 +57,8 @@ def config_from_dict(doc: dict) -> Config:
         fm = FilterModel(**_section(doc, "filter"))
     except (TypeError, RangeError) as exc:
         raise ArgumentError(f"invalid config: {exc}") from exc
-    netspecs = {}
-    for name, spec_doc in doc.get("netspecs", {}).items():
-        layers = spec_doc["layers"] if isinstance(spec_doc, dict) else spec_doc
-        netspecs[name] = spec_from_dict({"name": name, "layers": layers})
+    netspecs = {name: spec_from_dict({"name": name, "layers": layers})
+                for name, layers in doc.get("netspecs", {}).items()}
     return Config(profile, channel, sizes, fm, netspecs,
                   seed=int(doc.get("seed", 0)), name=doc.get("name", ""))
 

@@ -31,7 +31,6 @@ __all__ = [
     "SweepRow",
     "transfer_time",
     "total_delay",
-    "gain_vs_offload",
     "sweep",
     "write_sweep_csv",
     "crossover_rate",
@@ -145,12 +144,6 @@ def total_delay(strategy: str, prof: ExecutionProfile, ch: ChannelModel,
         return DelayBreakdown("SCNF", prof.t_head, keep * up,
                               keep * prof.t_tail, prof.t_filter_extra)
     raise ArgumentError(f"unknown strategy {strategy!r}; one of {STRATEGIES}")
-
-
-def gain_vs_offload(prof: ExecutionProfile, ch: ChannelModel, sizes: PayloadSizes,
-                    width: int, strategy: str, p_drop: float = 0.0) -> float:
-    base = total_delay("PO", prof, ch, sizes, width, p_drop).total
-    return base / total_delay(strategy, prof, ch, sizes, width, p_drop).total
 
 
 @dataclass(frozen=True)

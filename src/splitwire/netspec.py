@@ -22,7 +22,7 @@ Built-in fixtures:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .errors import ArgumentError, ShapeError
@@ -38,7 +38,6 @@ __all__ = [
     "compose_specs",
     "spec_from_dict",
     "load_spec_file",
-    "builtin_specs",
     "get_builtin_spec",
 ]
 
@@ -201,12 +200,7 @@ def compose_specs(name: str, *specs: NetworkSpec) -> NetworkSpec:
     return NetworkSpec(name, tuple(layers))
 
 
-# --- reading spec documents (field names: kind, oc, k, s, p, oh, ow,
-#     in_features, out_features, bottleneck, bias) ---
-
-_LAYER_FIELDS = ("kind", "oc", "k", "s", "p", "oh", "ow",
-                 "in_features", "out_features", "bottleneck", "bias")
-
+# --- reading spec documents ---
 
 def spec_from_dict(doc: dict[str, Any]) -> NetworkSpec:
     try:
@@ -216,11 +210,12 @@ def spec_from_dict(doc: dict[str, Any]) -> NetworkSpec:
         raise ArgumentError(f"network spec document needs name and layers: {exc}")
     if not isinstance(rows, list):
         raise ArgumentError("layers must be a list of layer objects")
+    names = {f.name for f in fields(LayerSpec)}
     layers = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ArgumentError(f"layer {i} must be an object, got {type(row).__name__}")
-        unknown = set(row) - set(_LAYER_FIELDS)
+        unknown = set(row) - names
         if unknown:
             raise ArgumentError(f"layer {i}: unknown fields {sorted(unknown)}")
         layers.append(LayerSpec(**row))
@@ -301,10 +296,6 @@ _BUILTINS = {
     s.name: s
     for s in (_STEM, _TEACHER_L1, _STUDENT_L1_COLUMN, _STUDENT_L1, _NEURAL_FILTER)
 }
-
-
-def builtin_specs() -> dict[str, NetworkSpec]:
-    return dict(_BUILTINS)
 
 
 def get_builtin_spec(name: str) -> NetworkSpec:

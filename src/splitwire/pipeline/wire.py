@@ -24,8 +24,8 @@ uses, and asks the socket for at most 1 MiB per recv, so the memory a
 frame takes grows only with the bytes that really arrived.
 
 tensor_digest (SHA-256 of the float32 values) is what the tail replies
-with and what the head checks. wire_header_bytes, data_size and ratio_vs
-count a quantized tensor's bytes as framed here.
+with and what the head checks. wire_header_bytes and data_size count a
+quantized tensor's bytes as framed here.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "SizeReport",
     "wire_header_bytes",
     "data_size",
-    "ratio_vs",
     "encode_message",
     "decode_message",
     "recv_frame",
@@ -166,11 +165,6 @@ def data_size(q: QuantizedTensor, reference_bytes: int | None = None) -> SizeRep
             raise RangeError(f"reference_bytes must be > 0, got {reference_bytes}")
         ratio = total / reference_bytes
     return SizeReport(payload, header, total, ratio)
-
-
-def ratio_vs(q: QuantizedTensor, reference_bytes: int) -> float:
-    """Total frame bytes divided by a reference byte count."""
-    return data_size(q, reference_bytes).ratio_vs_reference
 
 
 def encode_message(m: WireMessage) -> bytes:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import RangeError, ShapeError
 
-__all__ = ["Shape", "Tensor", "make_tensor", "sub", "random_fill"]
+__all__ = ["Shape", "Tensor", "make_tensor", "random_fill"]
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,6 @@ def make_tensor(shape: Shape | Sequence[int], values: Sequence[float]) -> Tensor
     if not np.all(np.isfinite(arr)):
         raise RangeError("tensor values must be finite (no NaN/Inf)")
     return Tensor(shape, arr)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a - b; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor(a.shape, (a.data - b.data).astype(np.float32))
 
 
 # splitmix64 constants; the generator is self-contained so seeded streams are

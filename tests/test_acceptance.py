@@ -24,7 +24,7 @@ from splitwire.latency import (
     ChannelModel,
     PayloadSizes,
     crossover_rate,
-    gain_vs_offload,
+    sweep,
     total_delay,
 )
 from splitwire.netspec import get_builtin_spec, tensor_ratio, trace
@@ -37,7 +37,6 @@ from splitwire.pipeline.wire import (
     data_size,
     decode_message,
     encode_message,
-    ratio_vs,
 )
 from splitwire.tensor import Shape, make_tensor, random_fill
 from test_distill import plan_gradients
@@ -67,9 +66,10 @@ def test_c01_table_size_ratio_algebra():
         reference = round(data_size(q32).total_bytes / 2.56)
 
         assert data_size(q8).header_bytes <= 64
-        assert ratio_vs(q32, reference) == pytest.approx(2.56, abs=0.01)
-        assert ratio_vs(q16, reference) == pytest.approx(1.28, abs=0.01)
-        assert ratio_vs(q8, reference) == pytest.approx(0.643, abs=0.01)
+        ratios = [data_size(q, reference).ratio_vs_reference for q in (q32, q16, q8)]
+        assert ratios[0] == pytest.approx(2.56, abs=0.01)
+        assert ratios[1] == pytest.approx(1.28, abs=0.01)
+        assert ratios[2] == pytest.approx(0.643, abs=0.01)
         assert time.monotonic() - start < 1.0
 
 
@@ -170,8 +170,8 @@ def test_c05_distillation_reaches_oracle_floor():
 def test_c06_asymptotic_gain_vs_offload():
     with criterion(6, "uplink-bound gain -> byte ratio (about 1/0.643)"):
         cfg = load_reference_config()
-        ch = ChannelModel(0.01e6)
-        gain = gain_vs_offload(cfg.profile, ch, cfg.sizes, 8, "SC")
+        rows = sweep(cfg.profile, cfg.sizes, 8, [0.01e6])
+        gain = next(row.gain_vs_offload for row in rows if row.strategy == "SC")
         byte_ratio = cfg.sizes.jpeg_bytes / cfg.sizes.bottleneck_bytes_8
         assert gain == pytest.approx(byte_ratio, rel=0.02)
         assert gain == pytest.approx(1 / 0.643, rel=0.02)

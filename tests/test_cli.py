@@ -87,6 +87,23 @@ def test_sweep_unparsable_or_non_finite_rate_exits_2(tmp_path, ref_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# SHA-256 of the `sweep` CSV on the reference config, from the range loop that
+# appended one rate at a time
+SWEEP_DIGESTS = {
+    "0.5..10:0.5": "64f4e6e8337cfc1079bb29e9eaf81f01d632828d4881475b255bba56a09408b8",
+    "1,2,5": "f821fa722baa17efb65e972a7b340bfbfa7cf591a89b6b190bd1757145581ec6",
+    "0.1..3:0.1": "35f9dfc9bb21c538e806aecd41106893ce667562bee731692eb3db858a33bbc2",
+    "1..2:0.3": "35ac8483b5c97d8aca0bf7c8a1e8fe6db3f33b364a705b81247ffc2ca01b75ac",
+}
+
+
+@pytest.mark.parametrize("rates", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_is_byte_identical(tmp_path, ref_path, rates):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", ref_path, "--rates", rates, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[rates]
+
+
 # --- codec ----------------------------------------------------------------------
 
 def test_codec_quantize_then_dequantize_bounds_error(tmp_path, tensor_file, capsys):
@@ -229,6 +246,27 @@ def test_netspec_from_json_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["netspec", "--spec", str(path), "--input", "3x8x8"]) == 0
     assert "bottleneck: 4x8x8" in capsys.readouterr().out
+
+
+# SHA-256 of the `netspec` stdout of every built-in spec
+NETSPEC_DIGESTS = {
+    ("neural_filter", "64x219x261"):
+        "63a15de9adb48bb6ec0c06c2a7418d2b27bda7c661cb0d04152361b1a8ae968b",
+    ("stem", "3x874x1044"): "54053df5cabc3464b8e2094054c8aa9e1ca34b4e264a11ce8e658fd93bc0b3fe",
+    ("student_l1", "3x874x1044"):
+        "512eda8e1708409f4ca8e3931f559fcdcdea408a2f4d682522379efe76851a38",
+    ("student_l1_column", "64x219x261"):
+        "901e82c9a4cf57098ba6e45bdeba26afd707e6ac3b908db6b2c6138520eb6eb5",
+    ("teacher_l1", "64x219x261"):
+        "3df4db6037f545078984fc9c8b2e8186f7626522097ceaa8d11029fff1600663",
+}
+
+
+@pytest.mark.parametrize("spec, shape", sorted(NETSPEC_DIGESTS))
+def test_netspec_output_is_byte_identical(capsys, ref_path, spec, shape):
+    assert run(["netspec", "--config", ref_path, "--spec", spec, "--input", shape]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == NETSPEC_DIGESTS[spec, shape]
 
 
 def test_netspec_unknown_name_exits_2(ref_path):

@@ -22,7 +22,6 @@ from splitwire.pipeline.wire import (
     WireMessage,
     data_size,
     message_to_quantized,
-    ratio_vs,
     wire_header_bytes,
 )
 from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
@@ -340,7 +339,7 @@ def test_size_totals_increase_with_width():
 def test_table_ratio_with_bottleneck_numel():
     # 177285-element bottleneck at width 8 against a documented reference
     t = random_fill(Shape([3, 223, 265]), seed=33, lo=-1.0, hi=1.0)
-    ratio = ratio_vs(quantize8(t), 275800)
+    ratio = data_size(quantize8(t), 275800).ratio_vs_reference
     assert ratio == pytest.approx(0.643, abs=0.001)
 
 
@@ -348,9 +347,9 @@ def test_ratio_requires_positive_reference():
     t = random_fill(Shape([4]), seed=34, lo=-1.0, hi=1.0)
     q = quantize8(t)
     with pytest.raises(RangeError):
-        ratio_vs(q, 0)
+        data_size(q, 0)
     with pytest.raises(RangeError):
-        ratio_vs(q, -10)
+        data_size(q, -10)
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50, width=32),

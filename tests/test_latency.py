@@ -9,7 +9,6 @@ from splitwire.latency import (
     ExecutionProfile,
     PayloadSizes,
     crossover_rate,
-    gain_vs_offload,
     sweep,
     total_delay,
     transfer_time,
@@ -106,18 +105,21 @@ def test_gain_vs_local_of_lc_is_one():
     assert [r.gain_vs_local for r in rows if r.strategy == "LC"] == [1.0, 1.0]
 
 
+def sc_gain_vs_offload(prof, rate):
+    return next(r.gain_vs_offload for r in sweep(prof, SIZES, 8, [rate])
+                if r.strategy == "SC")
+
+
 def test_gain_vs_offload_low_rate_limit():
     # uplink-dominated regime: the ratio tends to jpeg/bottleneck bytes
-    ch = ChannelModel(1e3)
-    g = gain_vs_offload(PROF, ch, SIZES, 8, "SC")
+    g = sc_gain_vs_offload(PROF, 1e3)
     assert g == pytest.approx(SIZES.jpeg_bytes / SIZES.bottleneck_bytes_8, rel=5e-3)
 
 
 def test_gain_algebra_with_zero_compute_head_tail():
     prof = ExecutionProfile(t_local=1.0, t_edge_full=0.1, t_head=0.0, t_tail=0.0)
     for rate in (1e5, 1e6, 1e7):
-        ch = ChannelModel(rate)
-        g = gain_vs_offload(prof, ch, SIZES, 8, "SC")
+        g = sc_gain_vs_offload(prof, rate)
         assert g >= 1.0  # t_tail <= t_edge_full and smaller payload
 
 

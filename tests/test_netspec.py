@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,6 @@ from splitwire.errors import ArgumentError, ShapeError
 from splitwire.netspec import (
     LayerSpec,
     NetworkSpec,
-    builtin_specs,
     compose_specs,
     get_builtin_spec,
     load_spec_file,
@@ -207,8 +207,8 @@ def test_layer_validation():
 
 
 def test_builtin_catalog():
-    names = set(builtin_specs())
-    assert {"stem", "teacher_l1", "student_l1", "student_l1_column",
-            "neural_filter"} == names
-    with pytest.raises(ArgumentError):
+    names = ["neural_filter", "stem", "student_l1", "student_l1_column", "teacher_l1"]
+    assert [get_builtin_spec(name).name for name in names] == names
+    # the error lists every built-in
+    with pytest.raises(ArgumentError, match=re.escape(f"built-ins: {names}")):
         get_builtin_spec("resnet_152")

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from splitwire.errors import RangeError, ShapeError
-from splitwire.tensor import Shape, Tensor, make_tensor, random_fill, sub
+from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
 
 
 def test_make_tensor_constructor_identity():
@@ -36,20 +34,6 @@ def test_shape_numel_and_str():
     s = Shape([3, 223, 265])
     assert s.numel == 177285
     assert str(s) == "3x223x265"
-
-
-def test_sub_self_difference_is_zero():
-    t = make_tensor([2], [1.0, 2.0])
-    assert sub(t, t).tolist() == [0.0, 0.0]
-
-
-def test_sub_arithmetic():
-    assert sub(make_tensor([1], [3.0]), make_tensor([1], [1.0])).tolist() == [2.0]
-
-
-def test_sub_shape_mismatch():
-    with pytest.raises(ShapeError):
-        sub(make_tensor([2], [1, 2]), make_tensor([3], [1, 2, 3]))
 
 
 def test_tensor_is_immutable():
@@ -100,12 +84,3 @@ def test_random_fill_frozen_stream():
     expected = [0.38982975482940674, 0.016788294538855553,
                 0.9007607102394104, 0.5829302668571472]
     assert t.tolist() == expected
-
-
-finite_floats = st.floats(min_value=-1e4, max_value=1e4, width=32)
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=30))
-def test_sub_self_is_zero_for_any_values(values):
-    t = make_tensor([len(values)], values)
-    assert sub(t, t).tolist() == [0.0] * len(values)
