@@ -23,6 +23,7 @@ from .errors import (
     RangeError,
     ShapeError,
     TransportError,
+    check_seed,
 )
 from .pipeline import (
     gate_metrics,
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_TRANSPORT = 4
+MAX_RATES = 100_000
 
 
 def _resolve_config(args) -> Config:
@@ -47,15 +49,37 @@ def _resolve_config(args) -> Config:
     return load_config(path)
 
 
+def _seed(args, cfg: Config) -> int:
+    return cfg.seed if args.seed is None else args.seed
+
+
+def non_negative_int(text: str) -> int:
+    """The type of every --seed flag, which follows the config ``seed`` rule."""
+    return check_seed("--seed", int(text))
+
+
 def _parse_rate(token: str, text: str) -> float:
     try:
         rate = float(token)
     except ValueError:
         raise ArgumentError(f"bad rate {token!r} in {text!r}") from None
-    # a NaN or Inf bound or step would make the range loop below endless
-    if not math.isfinite(rate):
-        raise ArgumentError(f"rates must be finite, got {text!r}")
+    if not math.isfinite(rate * 1e6):
+        raise ArgumentError(f"rates must be finite in bits per second, got {text!r}")
     return rate
+
+
+def _range_rates(lo: float, hi: float, step: float, text: str) -> list[float]:
+    """lo + k*step up to hi + 1e-9, counted before any is built. The loops settle
+    the quotient's rounding on the rates themselves, a step or two either way."""
+    end = hi + 1e-9
+    n = math.floor(min((end - lo) / step, MAX_RATES)) + 1
+    while n > 0 and lo + (n - 1) * step > end:
+        n -= 1
+    while n <= MAX_RATES and lo + n * step <= end:
+        n += 1
+    if n > MAX_RATES:
+        raise ArgumentError(f"rate range {text!r} gives more than {MAX_RATES} rates")
+    return [lo + k * step for k in range(n)]
 
 
 def _parse_rates_mbps(text: str) -> list[float]:
@@ -68,14 +92,7 @@ def _parse_rates_mbps(text: str) -> list[float]:
         lo, hi, step = (_parse_rate(tok, text) for tok in (lo_s, hi_s, step_s))
         if step <= 0 or hi < lo:
             raise ArgumentError(f"bad rate range {text!r}")
-        rates = []
-        k = 0
-        while True:
-            r = lo + k * step
-            if r > hi + 1e-9:
-                break
-            rates.append(r)
-            k += 1
+        rates = _range_rates(lo, hi, step, text)
     else:
         rates = [_parse_rate(tok, text) for tok in text.split(",") if tok.strip()]
         if not rates:
@@ -177,8 +194,7 @@ def cmd_filter_metrics(args) -> int:
     cfg = _resolve_config(args)
     if args.n < 1:
         raise ArgumentError(f"--n must be >= 1, got {args.n}")
-    seed = args.seed if args.seed is not None else cfg.seed
-    gm = gate_metrics(cfg.filter, args.n, seed)
+    gm = gate_metrics(cfg.filter, args.n, _seed(args, cfg))
     print(f"n: {gm.n}")
     print(f"drop_rate: {gm.drop_rate:.6f}")
     print(f"recall_nonempty: {gm.recall_nonempty:.6f}")
@@ -200,7 +216,7 @@ def cmd_client(args) -> int:
     if args.n < 1:
         raise ArgumentError(f"--n must be >= 1, got {args.n}")
     shape = _parse_chw(args.shape)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args, cfg)
     if args.mode == "simulated":
         # a simulated session reads only each image's shape and label
         blank = Tensor(shape, np.zeros(shape.numel, dtype=np.float32))
@@ -213,6 +229,9 @@ def cmd_client(args) -> int:
     log = run_session(images, cfg.profile, cfg.channel, cfg.filter,
                       mode=args.mode, seed=seed, width=args.width,
                       server_addr=addr)
+    # a sum of non-negative delays is finite only if every delay is
+    if not math.isfinite(sum(r.total for r in log.records)):
+        raise ArgumentError("the session's delays overflow to inf under this config")
     log.to_csv(args.out)
     print(f"{len(log.records)} images, {log.total_bytes} bytes sent, "
           f"drop rate {log.drop_rate:.3f}, mean total {log.mean_total:.6f} s")
@@ -263,14 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", required=True,
                    help=f"one of {', '.join(distill.fixture_names())}")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--out", required=True, help="loss-history CSV path")
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("filter-metrics", help="Monte Carlo prefilter statistics")
     add_config(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.set_defaults(func=cmd_filter_metrics)
 
     p = sub.add_parser("serve", help="run the tail-side server (blocking)")
@@ -287,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of images")
     p.add_argument("--shape", default="3x64x64", help="bottleneck tensor shape CxHxW")
     p.add_argument("--width", type=int, choices=(8, 16, 32), default=8)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--out", required=True, help="session-log CSV path")
     p.set_defaults(func=cmd_client)
 
@@ -308,10 +327,10 @@ def main(argv=None) -> int:
     except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    # after TransportError, which is an OSError: what is left is a file
-    # named on the command line that cannot be read or written
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # after TransportError, which is an OSError: what is left is a file that
+    # cannot be read or written, or a size too large for memory or a float
+    except (OSError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

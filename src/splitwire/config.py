@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import ArgumentError, RangeError
+from .errors import ArgumentError, RangeError, check_seed, load_json
 from .latency import ChannelModel, ExecutionProfile, PayloadSizes
 from .netspec import NetworkSpec, get_builtin_spec, spec_from_dict
 from .pipeline.filtergate import FilterModel
@@ -34,11 +33,10 @@ class Config:
         return get_builtin_spec(name)
 
 
-def _section(doc: dict, key: str) -> dict:
-    try:
-        section = doc[key]
-    except KeyError:
-        raise ArgumentError(f"config is missing the {key!r} section") from None
+def _section(doc: dict, key: str, default: dict | None = None) -> dict:
+    section = doc.get(key, default)
+    if section is None:
+        raise ArgumentError(f"config is missing the {key!r} section")
     if not isinstance(section, dict):
         raise ArgumentError(f"config section {key!r} must be an object")
     return section
@@ -58,20 +56,13 @@ def config_from_dict(doc: dict) -> Config:
     except (TypeError, RangeError) as exc:
         raise ArgumentError(f"invalid config: {exc}") from exc
     netspecs = {name: spec_from_dict({"name": name, "layers": layers})
-                for name, layers in doc.get("netspecs", {}).items()}
+                for name, layers in _section(doc, "netspecs", {}).items()}
     return Config(profile, channel, sizes, fm, netspecs,
-                  seed=int(doc.get("seed", 0)), name=doc.get("name", ""))
+                  seed=check_seed("config seed", doc.get("seed", 0)), name=doc.get("name", ""))
 
 
 def load_config(path: str) -> Config:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ArgumentError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(load_json(path, "config"))
 
 
 def reference_config_path() -> str:

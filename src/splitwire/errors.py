@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all splitwire modules, and the one rule
-every numeric configuration value is checked by."""
+"""Exception hierarchy shared by all splitwire modules, the rules every
+numeric configuration value and every seed are checked by, and the reader
+that reports a JSON document it cannot load as an ArgumentError."""
 
 from __future__ import annotations
 
+import json
 import math
 from numbers import Real
 
@@ -52,3 +54,21 @@ def check_number(name: str, value: object, *, above: float | None = None,
         rule = "".join(f" and {op} {bound:g}" for op, bound in
                        ((">", above), (">=", at_least), ("<=", at_most)) if bound is not None)
         raise RangeError(f"{name} must be finite{rule}, got {value!r}")
+
+
+def check_seed(name: str, value: object) -> int:
+    """Return ``value`` if it is a non-negative int and not a bool, else raise ArgumentError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ArgumentError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def load_json(path: str, what: str) -> object:
+    """The JSON document in the file at ``path``, a ``what`` such as a config."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ArgumentError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ArgumentError(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -18,6 +18,7 @@ this reproduces, but ``ChannelModel.fixed_latency_s`` can add a constant.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, NoCrossoverError, RangeError, check_number
@@ -158,7 +159,7 @@ class SweepRow:
 def sweep(prof: ExecutionProfile, sizes: PayloadSizes, width: int,
           rates_bps: list[float], p_drop: float = 0.0,
           fixed_latency_s: float = 0.0) -> list[SweepRow]:
-    """One row per (rate, strategy), rates required ascending."""
+    """One row per (rate, strategy); rates ascending, every delay finite and > 0."""
     if not rates_bps:
         raise ArgumentError("need at least one rate")
     if any(b <= a for a, b in zip(rates_bps, rates_bps[1:])):
@@ -168,6 +169,9 @@ def sweep(prof: ExecutionProfile, sizes: PayloadSizes, width: int,
         ch = ChannelModel(rate, fixed_latency_s)
         bds = {s: total_delay(s, prof, ch, sizes, width, p_drop) for s in STRATEGIES}
         lc, po = bds["LC"].total, bds["PO"].total
+        if not all(0 < bd.total < math.inf and math.isfinite(max(lc, po) / bd.total)
+                   for bd in bds.values()):
+            raise ArgumentError(f"at {rate!r} bps a delay is 0 or not finite, or a gain overflows")
         rows.extend(SweepRow(rate, s, bd, lc / bd.total, po / bd.total)
                     for s, bd in bds.items())
     return rows

@@ -21,11 +21,10 @@ Built-in fixtures:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, get_type_hints
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, ShapeError, load_json
 from .tensor import Shape
 
 __all__ = [
@@ -51,7 +50,8 @@ class LayerSpec:
     Conv stride defaults to 1 and padding to 0 when omitted, matching the
     defaults the architecture tables assume. ``bias`` opts a conv into a bias
     term for parameter counting (excluded by default, the usual convention
-    for convs followed by batchnorm).
+    for convs followed by batchnorm). Each field holds the type it is
+    annotated with, and a bool is not an int.
     """
 
     kind: str
@@ -67,6 +67,10 @@ class LayerSpec:
     bias: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value, want = getattr(self, f.name), _FIELD_TYPES[f.name]
+            if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+                raise ArgumentError(f"layer field {f.name} must be {f.type}, got {value!r}")
         if self.kind not in _KINDS:
             raise ArgumentError(f"unknown layer kind {self.kind!r}")
         if self.kind == "conv":
@@ -88,6 +92,9 @@ class LayerSpec:
                 f"{self.kind} needs k >= 1, s >= 1, p >= 0 "
                 f"(got k={self.k}, s={self.s}, p={self.p})"
             )
+
+
+_FIELD_TYPES = get_type_hints(LayerSpec)
 
 
 @dataclass(frozen=True)
@@ -209,28 +216,21 @@ def spec_from_dict(doc: dict[str, Any]) -> NetworkSpec:
     except (KeyError, TypeError) as exc:
         raise ArgumentError(f"network spec document needs name and layers: {exc}")
     if not isinstance(rows, list):
-        raise ArgumentError("layers must be a list of layer objects")
+        raise ArgumentError(f"spec {name!r}: layers must be a list of layer objects")
     names = {f.name for f in fields(LayerSpec)}
     layers = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ArgumentError(f"layer {i} must be an object, got {type(row).__name__}")
-        unknown = set(row) - names
-        if unknown:
-            raise ArgumentError(f"layer {i}: unknown fields {sorted(unknown)}")
+        if "kind" not in row or not names.issuperset(row):
+            raise ArgumentError(f"layer {i}: needs a kind, and only the fields "
+                                f"{sorted(names)}; got {sorted(row)}")
         layers.append(LayerSpec(**row))
     return NetworkSpec(name, tuple(layers))
 
 
 def load_spec_file(path: str) -> NetworkSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ArgumentError(f"cannot read spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArgumentError(f"spec {path} is not valid JSON: {exc}") from exc
-    return spec_from_dict(doc)
+    return spec_from_dict(load_json(path, "spec"))
 
 
 # --- built-in fixtures ---

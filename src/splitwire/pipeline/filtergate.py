@@ -42,7 +42,9 @@ class FilterModel:
         mu = np.where(is_empty, self.mu_empty, self.mu_nonempty)
         sigma = np.where(is_empty, self.sigma_empty, self.sigma_nonempty)
         latent = rng.normal(mu, sigma)
-        return 1.0 / (1.0 + np.exp(-latent))
+        # below a latent of about -709, exp overflows to inf and the score is 0, its limit
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-latent))
 
     def drop_probability(self, is_empty: bool) -> float:
         """P(score < threshold | class), in closed form."""

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from splitwire.cli import main
+from splitwire.cli import MAX_RATES, _parse_rates_mbps, main
 from splitwire.codec import quantize8
 from splitwire.config import (config_from_dict, load_config, load_reference_config,
                               reference_config_path)
@@ -42,6 +44,22 @@ def tensor_file(tmp_path):
 
 def run(args):
     return main(args)
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def write_config(tmp_path, ref_path, edit):
+    """Path of a copy of the reference config with ``edit(doc)`` applied.
+    json.dumps writes a float NaN or infinity as the NaN or Infinity that
+    Python's json reads back."""
+    doc = json.loads(Path(ref_path).read_text())
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -85,6 +103,57 @@ def test_sweep_unparsable_or_non_finite_rate_exits_2(tmp_path, ref_path, capsys,
     assert run(["sweep", "--config", ref_path, "--rates", rates,
                 "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("rates", ["0.5..10:1e-9", "1..5:1e-300", "1e-320", "1e308",
+                                   "1e-320,1", "1,1e303"])
+def test_sweep_rates_too_many_or_not_finite_exit_2(tmp_path, ref_path, capsys, rates):
+    # "0.5..10:1e-9" once built a list of 9.5e9 floats; "1e-320" wrote inf and
+    # nan into the PO row; "1e308" exited 3 on an infinite rate_bps
+    out = tmp_path / "x.csv"
+    assert run(["sweep", "--config", ref_path, "--rates", rates, "--out", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_rate_range_is_capped_at_max_rates():
+    assert len(_parse_rates_mbps(f"1..{MAX_RATES}:1")) == MAX_RATES
+    with pytest.raises(ArgumentError, match="more than"):
+        _parse_rates_mbps(f"1..{MAX_RATES + 1}:1")
+
+
+def loop_rates(lo, hi, step):
+    """The range as the loop that appended one rate at a time built it."""
+    rates, k = [], 0
+    while lo + k * step <= hi + 1e-9:
+        rates.append(lo + k * step)
+        k += 1
+    return rates
+
+
+@given(lo=st.floats(0.001, 100), step=st.floats(0.001, 10), k=st.integers(0, 300),
+       nudge=st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, 1e-10, -1e-10, 0.5]))
+@example(lo=0.1, step=0.1, k=29, nudge=0.0)
+@example(lo=1.0, step=0.3, k=3, nudge=0.0)
+def test_range_rates_are_the_loops_rates(lo, step, k, nudge):
+    hi = lo + k * step + nudge * step
+    if hi >= lo:
+        text = f"{lo!r}..{hi!r}:{step!r}"
+        assert _parse_rates_mbps(text) == loop_rates(lo, hi, step)
+
+
+def test_sweep_with_a_zero_delay_exits_2(tmp_path, ref_path, capsys):
+    # a free head and filter that drop every image make the SCNF delay 0, and
+    # its gains divided by zero
+    def free_head(doc):
+        doc["profile"]["t_head"] = 0.0
+        doc["profile"]["t_filter_extra"] = 0.0
+    path = write_config(tmp_path, ref_path, free_head)
+    out = tmp_path / "x.csv"
+    assert run(["sweep", "--config", path, "--rates", "1,2", "--p-drop", "1",
+                "--out", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not out.exists()
 
 
 # SHA-256 of the `sweep` CSV on the reference config, from the range loop that
@@ -267,6 +336,37 @@ def test_netspec_output_is_byte_identical(capsys, ref_path, spec, shape):
     assert run(["netspec", "--config", ref_path, "--spec", spec, "--input", shape]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == NETSPEC_DIGESTS[spec, shape]
+
+
+@pytest.mark.parametrize("layer", [
+    {"kind": "conv", "oc": "2", "k": 1},
+    {"kind": "linear", "in_features": "3", "out_features": 2},
+    {"kind": "adaptive_avgpool", "oh": "3", "ow": 3},
+    {"kind": "conv", "oc": float("nan"), "k": 1},
+    {"kind": "conv", "oc": 2.5, "k": 1},
+    {"kind": "conv", "oc": True, "k": 1},
+    {"kind": "conv", "oc": 2, "k": 1, "bottleneck": "no"},
+    {"kind": "conv", "oc": 2, "k": 1, "bias": 1},
+    {"kind": "conv", "oc": 2, "k": 1, "s": None},
+    {"oc": 2, "k": 1},
+], ids=["oc-str", "in-features-str", "oh-str", "oc-nan", "oc-float", "oc-bool",
+        "bottleneck-str", "bias-int", "s-null", "no-kind"])
+def test_netspec_mistyped_layer_field_exits_2(tmp_path, capsys, layer):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "typed", "layers": [layer]}))
+    assert run(["netspec", "--spec", str(path), "--input", "3x8x8"]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert captured.out == ""
+
+
+def test_netspec_ratio_beyond_a_float_exits_2(tmp_path, capsys):
+    # a 400-digit channel count is an int, but its bottleneck ratio overflows a float
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "huge", "layers": [
+        {"kind": "conv", "oc": 10**400, "k": 1, "bottleneck": True}]}))
+    assert run(["netspec", "--spec", str(path), "--input", "3x8x8"]) == 2
+    assert_one_error_line(capsys.readouterr().err)
 
 
 def test_netspec_unknown_name_exits_2(ref_path):
@@ -453,6 +553,24 @@ def test_simulated_client_memory_does_not_grow_with_n(tmp_path, ref_path):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("changes", [
+    {"channel": {"rate_bps": 1e-320}},
+    {"profile": {"t_local": 1.7e308, "t_head": 1e308, "t_tail": 1e308}},
+], ids=["uplink", "head-plus-tail"])
+def test_simulated_client_delay_overflow_exits_2(tmp_path, ref_path, capsys, changes):
+    # the log and the printed mean once read inf
+    def overflow(doc):
+        for section, values in changes.items():
+            doc[section].update(values)
+    path = write_config(tmp_path, ref_path, overflow)
+    out = tmp_path / "s.csv"
+    assert run(["client", "--config", path, "--mode", "simulated", "--n", "3",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert captured.out == "" and not out.exists()
 
 
 def test_client_without_server_exits_4(tmp_path, ref_path):
@@ -674,3 +792,72 @@ def test_config_netspec_section_round_trips(tmp_path):
     cfg = load_config(str(path))
     assert cfg.get_netspec("tiny").layers[0].oc == 2
     assert cfg.get_netspec("stem").name == "stem"
+
+
+@pytest.mark.parametrize("seed", ["abc", float("nan"), float("inf"), float("-inf"), 1.5, 1.0,
+                                  True, -3, None, [1]])
+def test_config_seed_must_be_a_non_negative_integer(tmp_path, ref_path, capsys, seed):
+    path = write_config(tmp_path, ref_path, lambda doc: doc.update(seed=seed))
+    assert run(["filter-metrics", "--config", path, "--n", "10"]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert "seed" in captured.err and captured.out == ""
+
+
+def test_large_config_seed_is_accepted(tmp_path, ref_path, capsys):
+    path = write_config(tmp_path, ref_path, lambda doc: doc.update(seed=2**70))
+    assert run(["filter-metrics", "--config", path, "--n", "10"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["filter-metrics", "--n", "10", "--seed", "-1"],
+    ["client", "--mode", "simulated", "--n", "2", "--seed", "-1", "--out", "@out"],
+    ["distill", "--fixture", "rank2_full", "--epochs", "1", "--seed", "-100000",
+     "--out", "@out"],
+    ["distill", "--fixture", "rank2_full", "--epochs", "1", "--seed", "-1", "--out", "@out"],
+    ["filter-metrics", "--n", "10", "--seed", "1.5"],
+], ids=["filter-metrics", "client", "distill-large", "distill-minus-1", "filter-metrics-1.5"])
+def test_bad_seed_flag_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([str(out) if a == "@out" else a for a in args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "argument --seed: invalid non_negative_int value" in errors[0]
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("netspecs", [{"x": {}}, [], "stem", {"x": {"layers": [{"kind": "relu"}]}},
+                                      {"x": [{}]}, {"x": ["relu"]},
+                                      {"x": [{"kind": "conv", "oc": "2", "k": 1}]}],
+                         ids=["empty-object", "list", "string", "layers-object", "no-kind",
+                              "string-layer", "mistyped-field"])
+def test_config_netspecs_must_map_names_to_layer_lists(tmp_path, ref_path, capsys, netspecs):
+    path = write_config(tmp_path, ref_path, lambda doc: doc.update(netspecs=netspecs))
+    assert run(["filter-metrics", "--config", path, "--n", "10"]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("document", ["config", "spec"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"seed": ' + b"9" * 5000 + b"}"],
+                         ids=["not-utf-8", "int-over-the-digit-limit"])
+def test_unloadable_json_document_exits_2(tmp_path, capsys, document, content):
+    # json.load raised UnicodeDecodeError, or ValueError past Python's
+    # int-string digit limit, neither of them a JSONDecodeError
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    spec = ["--config", str(path), "--spec", "stem"] if document == "config" else [
+        "--spec", str(path)]
+    assert run(["netspec", *spec, "--input", "3x8x8"]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert "is not valid JSON" in captured.err
+
+
+def test_allocation_too_large_exits_2(ref_path, capsys):
+    # 10**15 samples cannot be allocated on any machine: numpy raises MemoryError
+    assert run(["filter-metrics", "--config", ref_path, "--n", str(10**15)]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert captured.out == ""

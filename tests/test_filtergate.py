@@ -37,6 +37,14 @@ def test_score_range_checked():
         filter_decide(0.5, 1.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wide_latent_scores_without_an_overflow_warning():
+    # a latent below about -709 overflows exp; its score is 0, the limit
+    fm = FilterModel(mu_empty=-1000.0)
+    scores = fm.sample_scores(np.array([True, False]), np.random.default_rng(0))
+    assert scores[0] == 0.0 and 0.0 < scores[1] < 1.0
+
+
 def test_default_model_hits_calibrated_auc():
     gm = gate_metrics(FilterModel(), n=100_000, seed=1)
     assert gm.empirical_auc == pytest.approx(0.919, abs=0.01)
