@@ -25,14 +25,10 @@ from .errors import (
     TransportError,
     check_seed,
 )
-from .pipeline import (
-    gate_metrics,
-    make_stream,
-    run_session,
-    serve,
-    stream_labels,
-)
 from .pipeline import wire
+from .pipeline.filtergate import gate_metrics
+from .pipeline.server import serve
+from .pipeline.session import make_stream, run_session, stream_labels
 from .tensor import Shape, Tensor
 
 EXIT_OK = 0
@@ -40,6 +36,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_TRANSPORT = 4
 MAX_RATES = 100_000
+MAX_SAMPLES = 10_000_000
 
 
 def _resolve_config(args) -> Config:
@@ -194,6 +191,8 @@ def cmd_filter_metrics(args) -> int:
     cfg = _resolve_config(args)
     if args.n < 1:
         raise ArgumentError(f"--n must be >= 1, got {args.n}")
+    if args.n > MAX_SAMPLES:
+        raise ArgumentError(f"--n must be at most {MAX_SAMPLES}, got {args.n}")
     gm = gate_metrics(cfg.filter, args.n, _seed(args, cfg))
     print(f"n: {gm.n}")
     print(f"drop_rate: {gm.drop_rate:.6f}")
@@ -218,8 +217,9 @@ def cmd_client(args) -> int:
     shape = _parse_chw(args.shape)
     seed = _seed(args, cfg)
     if args.mode == "simulated":
-        # a simulated session reads only each image's shape and label
-        blank = Tensor(shape, np.zeros(shape.numel, dtype=np.float32))
+        # a simulated session reads only each image's shape and label, so
+        # one zero-stride view of a single zero stands in for every image
+        blank = Tensor._adopt(shape, np.broadcast_to(np.float32(0), (shape.numel,)))
         images = [(blank, bool(empty))
                   for empty in stream_labels(args.n, cfg.filter.p_empty, seed)]
         addr = None

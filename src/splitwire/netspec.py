@@ -34,7 +34,6 @@ __all__ = [
     "output_shape",
     "trace",
     "tensor_ratio",
-    "compose_specs",
     "spec_from_dict",
     "load_spec_file",
     "get_builtin_spec",
@@ -200,13 +199,6 @@ def tensor_ratio(bottleneck: Shape, input_shape: Shape) -> float:
     return bottleneck.numel / input_shape.numel
 
 
-def compose_specs(name: str, *specs: NetworkSpec) -> NetworkSpec:
-    layers: list[LayerSpec] = []
-    for s in specs:
-        layers.extend(s.layers)
-    return NetworkSpec(name, tuple(layers))
-
-
 # --- reading spec documents ---
 
 def spec_from_dict(doc: dict[str, Any]) -> NetworkSpec:
@@ -280,7 +272,7 @@ _STUDENT_L1_COLUMN = NetworkSpec("student_l1_column", (
     _RELU,
 ))
 
-_STUDENT_L1 = compose_specs("student_l1", _STEM, _STUDENT_L1_COLUMN)
+_STUDENT_L1 = NetworkSpec("student_l1", _STEM.layers + _STUDENT_L1_COLUMN.layers)
 
 _NEURAL_FILTER = NetworkSpec("neural_filter", (
     LayerSpec("adaptive_avgpool", oh=64, ow=64),

@@ -1,63 +1,10 @@
-"""Executable split pipeline: wire framing, filter gate, client and server."""
+"""Executable split pipeline: wire framing, filter gate, client and server.
 
-from .filtergate import FilterModel, GateMetrics, filter_decide, gate_metrics
-from .server import PipelineServer, serve
-from .session import (
-    ImageRecord,
-    SessionLog,
-    TokenBucket,
-    make_stream,
-    run_session,
-    stream_labels,
-)
-from .wire import (
-    MAGIC,
-    MAX_NDIM,
-    VERSION,
-    MsgType,
-    WireMessage,
-    decode_message,
-    detection_result_message,
-    empty_result_message,
-    encode_message,
-    load_message,
-    message_to_quantized,
-    message_to_tensor,
-    quantized_to_message,
-    recv_frame,
-    save_message,
-    tensor_digest,
-    tensor_to_message,
-)
+Import each name from its module (``wire``, ``filtergate``, ``session``,
+``server``); the package keeps only the three that callers reach here.
+"""
 
-__all__ = [
-    "FilterModel",
-    "GateMetrics",
-    "filter_decide",
-    "gate_metrics",
-    "PipelineServer",
-    "serve",
-    "ImageRecord",
-    "SessionLog",
-    "TokenBucket",
-    "make_stream",
-    "run_session",
-    "stream_labels",
-    "MAGIC",
-    "MAX_NDIM",
-    "VERSION",
-    "MsgType",
-    "WireMessage",
-    "decode_message",
-    "detection_result_message",
-    "empty_result_message",
-    "encode_message",
-    "load_message",
-    "message_to_quantized",
-    "message_to_tensor",
-    "quantized_to_message",
-    "recv_frame",
-    "save_message",
-    "tensor_digest",
-    "tensor_to_message",
-]
+from .server import PipelineServer
+from .session import make_stream, run_session
+
+__all__ = ["PipelineServer", "make_stream", "run_session"]

@@ -69,7 +69,10 @@ class PipelineServer:
         self._accept_thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
-        self._live: dict[socket.socket, threading.Thread] = {}
+        self._live: set[socket.socket] = set()
+        # a handler leaves _live before it closes its socket and ends, so
+        # stop() joins every handler that may still run, not only the live ones
+        self._handlers: list[threading.Thread] = []
 
     @property
     def address(self) -> tuple[str, int]:
@@ -103,13 +106,13 @@ class PipelineServer:
             self._listener.close()
             self._listener = None
         with self._lock:
-            live = list(self._live.items())
-            for conn, _ in live:
+            for conn in self._live:
                 try:
                     conn.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
-        for _, handler in live:
+            handlers = list(self._handlers)
+        for handler in handlers:
             handler.join(timeout=5.0)
 
     def __enter__(self) -> "PipelineServer":
@@ -129,7 +132,9 @@ class PipelineServer:
             handler = threading.Thread(target=self._handle, args=(conn, peer),
                                        daemon=True)
             with self._lock:
-                self._live[conn] = handler
+                self._live.add(conn)
+                self._handlers = [h for h in self._handlers if h.is_alive()]
+                self._handlers.append(handler)
             handler.start()
 
     def _handle(self, conn: socket.socket, peer) -> None:
@@ -159,7 +164,7 @@ class PipelineServer:
         finally:
             # under the lock, so stop() never shuts down a closed socket
             with self._lock:
-                del self._live[conn]
+                self._live.remove(conn)
             conn.close()
 
     def _respond(self, msg: WireMessage, stats: ConnectionStats) -> WireMessage:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import RangeError, ShapeError
 
-__all__ = ["Shape", "Tensor", "make_tensor", "random_fill"]
+__all__ = ["Shape", "Tensor", "random_fill"]
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,8 @@ class Tensor:
     copies ``data``, so the caller may go on writing to its array. Code in
     this package that has just allocated an array and hands it over keeps it
     with ``Tensor._adopt`` instead, without the copy. Construction does not
-    check that the values are finite: ``make_tensor`` rejects NaN and Inf
-    with RangeError, and ``quantize8``, ``quantize16`` and ``dequantize`` with
-    CodecError.
+    check that the values are finite: ``quantize8``, ``quantize16`` and
+    ``dequantize`` reject NaN and Inf with CodecError.
     """
 
     __slots__ = ("shape", "_data")
@@ -102,39 +101,8 @@ class Tensor:
     def numel(self) -> int:
         return self.shape.numel
 
-    def tolist(self) -> list[float]:
-        return self._data.tolist()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.shape == other.shape and bool(
-            np.array_equal(self._data, other._data)
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self._data.tobytes()))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, numel={self.numel})"
-
-
-def make_tensor(shape: Shape | Sequence[int], values: Sequence[float]) -> Tensor:
-    """Build a tensor owning a copy of ``values``.
-
-    Raises ShapeError on a length mismatch and RangeError if any value is
-    NaN or infinite.
-    """
-    if not isinstance(shape, Shape):
-        shape = Shape(shape)
-    arr = np.asarray(values, dtype=np.float32).reshape(-1)
-    if arr.size != shape.numel:
-        raise ShapeError(
-            f"got {arr.size} values for shape {shape} (numel {shape.numel})"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise RangeError("tensor values must be finite (no NaN/Inf)")
-    return Tensor(shape, arr)
 
 
 # splitmix64 constants; the generator is self-contained so seeded streams are

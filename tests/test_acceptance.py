@@ -38,7 +38,7 @@ from splitwire.pipeline.wire import (
     decode_message,
     encode_message,
 )
-from splitwire.tensor import Shape, make_tensor, random_fill
+from splitwire.tensor import Shape, Tensor, random_fill
 from test_distill import plan_gradients
 
 IMAGE = Shape([3, 874, 1044])
@@ -102,8 +102,9 @@ def test_c03_quantization_round_trip_bound():
             assert err <= q.scale / 2 + 1e-6, (i, err, q.scale)
 
             c = float(rng.uniform(-50.0, 50.0))
-            const = make_tensor([7], [np.float32(c)] * 7)
-            assert dequantize(quantize8(const)) == const
+            const = Tensor(Shape([7]), np.full(7, c, dtype=np.float32))
+            back = dequantize(quantize8(const))
+            assert back.shape == const.shape and np.array_equal(back.data, const.data)
         assert time.monotonic() - start < 10.0
 
 

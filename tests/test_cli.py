@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from splitwire.cli import MAX_RATES, _parse_rates_mbps, main
+from splitwire.cli import MAX_RATES, MAX_SAMPLES, _parse_rates_mbps, main
 from splitwire.codec import quantize8
 from splitwire.config import (config_from_dict, load_config, load_reference_config,
                               reference_config_path)
@@ -187,7 +187,7 @@ def test_codec_quantize_then_dequantize_bounds_error(tmp_path, tensor_file, caps
     orig = message_to_tensor(load_message(tensor_file))
     restored = message_to_tensor(load_message(str(back)))
     scale = quantize8(orig).scale
-    err = max(abs(a - b) for a, b in zip(orig.tolist(), restored.tolist()))
+    err = max(abs(a - b) for a, b in zip(orig.data.tolist(), restored.data.tolist()))
     assert err <= scale / 2 + 1e-6
 
 
@@ -555,6 +555,20 @@ def test_simulated_client_memory_does_not_grow_with_n(tmp_path, ref_path):
     assert peak < 5 * 2**20
 
 
+def test_simulated_client_memory_does_not_grow_with_shape(tmp_path, ref_path):
+    # one 3x2000x2000 float32 zero tensor took 48 MB
+    args = ["client", "--config", ref_path, "--mode", "simulated", "--n", "1",
+            "--out", str(tmp_path / "s.csv"), "--shape"]
+    assert run([*args, "1x1x1"]) == 0  # the first run imports what it needs
+    tracemalloc.start()
+    try:
+        assert run([*args, "3x2000x2000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("changes", [
     {"channel": {"rate_bps": 1e-320}},
     {"profile": {"t_local": 1.7e308, "t_head": 1e308, "t_tail": 1e308}},
@@ -588,7 +602,10 @@ def test_client_zero_images_exits_2(tmp_path, ref_path):
     ["sweep", "--rates", "1,2", "--p-drop", "1.5"],
     ["sweep", "--rates", "1,2", "--p-drop", "nan"],
     ["filter-metrics", "--n", "0"],
-], ids=["rate-range-from-0", "p-drop-1.5", "p-drop-nan", "filter-metrics-n-0"])
+    # exited 0 after ~3 s; 10 times the cap asks for ~6 GB
+    ["filter-metrics", "--n", str(MAX_SAMPLES + 1)],
+], ids=["rate-range-from-0", "p-drop-1.5", "p-drop-nan", "filter-metrics-n-0",
+        "filter-metrics-n-over-cap"])
 def test_out_of_range_number_exits_2_with_one_error_line(tmp_path, ref_path, capsys, args):
     if args[0] == "sweep":
         args = args + ["--out", str(tmp_path / "x.csv")]
@@ -855,9 +872,10 @@ def test_unloadable_json_document_exits_2(tmp_path, capsys, document, content):
     assert "is not valid JSON" in captured.err
 
 
-def test_allocation_too_large_exits_2(ref_path, capsys):
-    # 10**15 samples cannot be allocated on any machine: numpy raises MemoryError
-    assert run(["filter-metrics", "--config", ref_path, "--n", str(10**15)]) == 2
+def test_allocation_too_large_exits_2(tmp_path, ref_path, capsys):
+    # 10**15 labels cannot be allocated on any machine: numpy raises MemoryError
+    assert run(["client", "--config", ref_path, "--mode", "simulated", "--n", str(10**15),
+                "--out", str(tmp_path / "s.csv")]) == 2
     captured = capsys.readouterr()
     assert_one_error_line(captured.err)
     assert captured.out == ""

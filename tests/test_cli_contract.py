@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitwire.cli import main
+from splitwire.cli import MAX_SAMPLES, main
 from splitwire.config import reference_config_path
 from splitwire.distill import fixture_names
 
@@ -72,7 +72,9 @@ def configs(draw):
 spec_docs = st.fixed_dictionaries({"name": st.sampled_from(["net", 5]), "layers": layer_lists})
 
 flag_seeds = st.one_of(st.integers(-3, 2**70).map(str), st.sampled_from(["abc", "1.5", "-0"]))
-counts = st.one_of(st.integers(-1, 300).map(str), st.sampled_from(["abc", str(10**15)]))
+# never MAX_SAMPLES itself, which runs for seconds
+counts = st.one_of(st.integers(-1, 300).map(str),
+                   st.sampled_from(["abc", str(MAX_SAMPLES + 1), str(10**9), str(10**15)]))
 shapes = st.sampled_from(["3x8x8", "3x64x64", "1x1x1", "64x219x261", "3x0x4", "3x8", "axb"])
 rate_texts = st.one_of(
     st.sampled_from(["1,2,5", "0.5..10:0.5", "1e-320", "1e308", "1,1e303", "0..1:0.5",
@@ -100,7 +102,9 @@ argvs = st.one_of(
               counts.map(lambda n: [n]), optional("--seed", flag_seeds)),
     st.tuples(st.just(["client", "--config", "@config", "--mode", "simulated", "--out", "@out",
                        "--shape"]),
-              st.sampled_from(["3x8x8", "1x1x1", "3x0x4"]).map(lambda s: [s]),
+              # up to ~10**9 elements: the simulated client builds no tensor
+              st.sampled_from(["3x8x8", "1x1x1", "3x0x4", "1000x1000x1000",
+                               "3x20000x20000"]).map(lambda s: [s]),
               st.integers(-1, 40).map(lambda n: ["--n", str(n)]),
               optional("--width", st.sampled_from(["8", "16", "32"])),
               optional("--seed", flag_seeds)),
@@ -173,9 +177,17 @@ SWEEP = ["sweep", "--config", "@config", "--out", "@out", "--rates"]
                          profile__t_tail=1e308), spec=None,
          argv=["client", "--config", "@config", "--mode", "simulated", "--n", "3",
                "--out", "@out"])
-# an allocation numpy refuses
+# sample counts past the cap, and an allocation numpy refuses
+@example(doc=REFERENCE, spec=None, argv=["filter-metrics", "--config", "@config",
+                                         "--n", str(MAX_SAMPLES + 1)])
 @example(doc=REFERENCE, spec=None, argv=["filter-metrics", "--config", "@config",
                                          "--n", str(10**15)])
+@example(doc=REFERENCE, spec=None, argv=["client", "--config", "@config", "--mode", "simulated",
+                                         "--n", str(10**15), "--out", "@out"])
+# a shape whose float32 tensor would take 4.8 GB
+@example(doc=REFERENCE, spec=None, argv=["client", "--config", "@config", "--mode", "simulated",
+                                         "--n", "40", "--shape", "3x20000x20000",
+                                         "--out", "@out"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_exit_code_contract(doc, spec, argv):
     with tempfile.TemporaryDirectory() as tmp:

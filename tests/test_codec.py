@@ -24,7 +24,15 @@ from splitwire.pipeline.wire import (
     message_to_quantized,
     wire_header_bytes,
 )
-from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
+from splitwire.tensor import Shape, Tensor, random_fill
+
+
+def f32(dims, values):
+    return Tensor(Shape(dims), np.array(values, dtype=np.float32))
+
+
+def same(a, b):
+    return a.shape == b.shape and np.array_equal(a.data, b.data)
 
 
 # --- independent oracles ------------------------------------------------------
@@ -82,32 +90,32 @@ def numpy_half_bits(x: float) -> int:
 # --- quantize8 ----------------------------------------------------------------
 
 def test_constant_tensor_roundtrips_exactly():
-    t = make_tensor([2], [5.0, 5.0])
-    assert dequantize(quantize8(t)) == t
+    t = f32([2], [5.0, 5.0])
+    assert same(dequantize(quantize8(t)), t)
 
 
 def test_constant_negative_tensor_roundtrips_exactly():
-    t = make_tensor([3], [-2.5, -2.5, -2.5])
+    t = f32([3], [-2.5, -2.5, -2.5])
     q = quantize8(t)
-    assert dequantize(q) == t
+    assert same(dequantize(q), t)
     assert q.scale > 0
     assert 0 <= q.zero_point <= 255
 
 
 def test_constant_zero_tensor():
-    t = make_tensor([4], [0.0] * 4)
+    t = f32([4], [0.0] * 4)
     q = quantize8(t)
     assert q.scale == 1.0 and q.zero_point == 0
-    assert dequantize(q) == t
+    assert same(dequantize(q), t)
 
 
 def test_grid_aligned_tensor_is_exact():
     values = [float(i) for i in range(256)]
-    t = make_tensor([256], values)
+    t = f32([256], values)
     q = quantize8(t)
     assert q.scale == 1.0
     assert q.zero_point == 0
-    assert dequantize(q) == t
+    assert same(dequantize(q), t)
 
 
 def test_uniform_tensor_matches_rounding_oracle():
@@ -148,7 +156,7 @@ def test_quantize8_deterministic():
 @pytest.mark.parametrize("values", [[0.0, 1e-45], [-1e-45, 0.0]], ids=["affine", "negative"])
 def test_quantize8_underflowing_scale_raises_codec_error(values):
     # a range 1e-45 wide over 255 levels rounds to a binary32 scale of 0
-    t = make_tensor([2], values)
+    t = f32([2], values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CodecError, match="underflows"):
@@ -164,7 +172,7 @@ def test_quantize8_clips_in_float64_before_narrowing(values):
     # scale the range's end would land on level 256 (or -1 below the zero
     # point): the scale must widen until every level fits, with no wrap in
     # the uint8 cast and no clipped level breaking the half-step bound
-    t = make_tensor([3], values)
+    t = f32([3], values)
     q = quantize8(t)
     x = t.data.astype(np.float64)
     levels = np.rint(x / q.scale) + q.zero_point
@@ -177,17 +185,17 @@ def test_quantize8_clips_in_float64_before_narrowing(values):
 # --- quantize16 -----------------------------------------------------------------
 
 def test_quantize16_exact_for_representable_values():
-    t = make_tensor([3], [1.0, 0.5, -2.0])
+    t = f32([3], [1.0, 0.5, -2.0])
     q = quantize16(t)
     assert not q.saturated
-    assert dequantize(q) == t
+    assert same(dequantize(q), t)
 
 
 def test_quantize16_rounds_to_nearest_even():
     x = 1.0 + 2.0 ** -12
-    t = make_tensor([1], [x])
+    t = f32([1], [x])
     q = quantize16(t)
-    got = dequantize(q).tolist()[0]
+    got = dequantize(q).data.tolist()[0]
     ref_bits = ref_float_to_half_bits(float(np.float32(x)))
     assert struct.unpack("<H", q.payload)[0] == ref_bits
     assert abs(got - x) / abs(x) <= 2.0 ** -11
@@ -208,10 +216,10 @@ def test_quantize16_edge_bits_match_numpy():
 
 
 def test_quantize16_saturates_with_flag():
-    t = make_tensor([2], [1e6, -1e6])
+    t = f32([2], [1e6, -1e6])
     q = quantize16(t)
     assert q.saturated
-    out = dequantize(q).tolist()
+    out = dequantize(q).data.tolist()
     assert out == [BINARY16_MAX, -BINARY16_MAX]
 
 
@@ -219,7 +227,7 @@ def test_quantize16_saturates_with_flag():
                                     (-65600.0, 0.0), (1.0, 70000.0), (-1e9, 1e9)])
 def test_quantize16_saturated_exactly_when_a_value_leaves_binary16(lo, hi):
     t = random_fill(Shape([64]), seed=25, lo=lo, hi=hi)
-    t = make_tensor([66], [*t.tolist(), lo, np.nextafter(np.float32(hi), np.float32(lo))])
+    t = f32([66], [*t.data.tolist(), lo, np.nextafter(np.float32(hi), np.float32(lo))])
     assert quantize16(t).saturated == bool(np.any(np.abs(t.data) > BINARY16_MAX))
 
 
@@ -240,7 +248,7 @@ def test_width32_passthrough_bit_identical():
     t = random_fill(Shape([100]), seed=21, lo=-5.0, hi=5.0)
     q = passthrough32(t)
     back = dequantize(q)
-    assert back == t
+    assert same(back, t)
     assert back.data.tobytes() == t.data.tobytes()
 
 
@@ -279,10 +287,10 @@ def test_width8_dequantize_bits_match_float64_formula(scale, zero_point):
 
 
 def test_width8_large_constant_dequantizes_without_warning():
-    t = make_tensor([4], [1e37] * 4)
+    t = f32([4], [1e37] * 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert dequantize(quantize8(t)) == t
+        assert same(dequantize(quantize8(t)), t)
 
 
 @pytest.mark.parametrize("msg_type, scale, payload", [
@@ -357,7 +365,7 @@ def test_ratio_requires_positive_reference():
 @example([6.28342231403248e-42, 4.097957229071495e-41, 4.912251766690646e-41])
 @example([-3.160628686284625e-41, -5.62677385364987e-41, -1.394011712310328e-41])
 def test_roundtrip_bound_property(values):
-    t = make_tensor([len(values)], values)
+    t = f32([len(values)], values)
     lo, hi = min(min(values), 0.0), max(max(values), 0.0)
     if lo < hi and np.float32((hi - lo) / 255) == 0:
         # the documented error for a range whose binary32 scale underflows

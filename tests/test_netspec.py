@@ -10,7 +10,6 @@ from splitwire.errors import ArgumentError, ShapeError
 from splitwire.netspec import (
     LayerSpec,
     NetworkSpec,
-    compose_specs,
     get_builtin_spec,
     load_spec_file,
     output_shape,
@@ -191,8 +190,8 @@ def test_at_most_one_bottleneck():
             LayerSpec("conv", oc=1, k=1, bottleneck=True),
         ))
     with pytest.raises(ArgumentError):
-        compose_specs("both", get_builtin_spec("student_l1"),
-                      get_builtin_spec("student_l1_column"))
+        NetworkSpec("both", get_builtin_spec("student_l1").layers
+                    + get_builtin_spec("student_l1_column").layers)
 
 
 def test_layer_validation():

@@ -172,7 +172,28 @@ def test_stop_during_traffic_leaves_no_live_handlers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(c.is_alive() for c in clients)
-    assert srv._live == {}
+    assert srv._live == set()
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_stop_joins_a_handler_that_is_still_closing(monkeypatch):
+    # a handler leaves the live set before it closes its socket; held there,
+    # it must still be joined by stop()
+    closing = threading.Event()
+    real_close = socket.socket.close
+
+    def slow_close(sock):
+        if sys._getframe(1).f_code.co_name == "_handle" and not closing.is_set():
+            closing.set()
+            time.sleep(0.3)
+        real_close(sock)
+
+    monkeypatch.setattr(socket.socket, "close", slow_close)
+    before = set(threading.enumerate())
+    srv = PipelineServer(prof=PROF).start()
+    socket.create_connection(srv.address, timeout=2.0).close()
+    assert closing.wait(timeout=5.0)
+    srv.stop()
     assert [t for t in threading.enumerate() if t not in before] == []
 
 

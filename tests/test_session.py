@@ -16,7 +16,7 @@ from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
 from splitwire.pipeline.wire import (MAGIC, detection_result_message, encode_message,
                                     quantized_to_message, wire_header_bytes)
-from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
+from splitwire.tensor import Shape, Tensor, random_fill
 
 PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
                         t_tail=0.04, t_filter_extra=0.004)
@@ -101,7 +101,7 @@ def test_simulated_bytes_are_the_real_frame_size(width):
     shapes = [[7], [3, 5], [2, 3, 4], [2, 1, 3, 2]]
     images = [(random_fill(Shape(dims), 40 + k, -1.0, 1.0), False)
               for k, dims in enumerate(shapes)]
-    images.append((make_tensor([2, 3], [0.25] * 6), False))
+    images.append((Tensor(Shape([2, 3]), np.full(6, 0.25, dtype=np.float32)), False))
     log = run_session(images, PROF, CH, SHARP_FM, mode="simulated", seed=17, width=width)
     quantize = {8: quantize8, 16: quantize16, 32: passthrough32}[width]
     for (img, _), r in zip(images, log.records):
@@ -125,7 +125,8 @@ def test_make_stream_respects_prior_and_determinism():
     frac_empty = np.mean([empty for _, empty in stream])
     assert frac_empty == pytest.approx(0.46, abs=0.04)
     again = make_stream(2000, [3, 2, 2], 0.46, seed=15)
-    assert all(a[1] == b[1] and a[0] == b[0] for a, b in zip(stream, again))
+    assert all(a[1] == b[1] and a[0].shape == b[0].shape
+               and np.array_equal(a[0].data, b[0].data) for a, b in zip(stream, again))
 
 
 def test_argument_validation():

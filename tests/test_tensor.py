@@ -2,25 +2,18 @@ import numpy as np
 import pytest
 
 from splitwire.errors import RangeError, ShapeError
-from splitwire.tensor import Shape, Tensor, make_tensor, random_fill
+from splitwire.tensor import Shape, Tensor, random_fill
 
 
-def test_make_tensor_constructor_identity():
-    t = make_tensor(Shape([2]), [1.0, 2.0])
+def test_tensor_constructor_identity():
+    t = Tensor(Shape([2]), np.array([1.0, 2.0], dtype=np.float32))
     assert t.numel == 2
-    assert t.tolist() == [1.0, 2.0]
+    assert t.data.tolist() == [1.0, 2.0]
 
 
-def test_make_tensor_length_mismatch():
+def test_tensor_length_mismatch():
     with pytest.raises(ShapeError):
-        make_tensor(Shape([2, 3]), [1.0] * 5)
-
-
-def test_make_tensor_rejects_nan_and_inf():
-    with pytest.raises(RangeError):
-        make_tensor(Shape([1]), [float("nan")])
-    with pytest.raises(RangeError):
-        make_tensor(Shape([2]), [1.0, float("inf")])
+        Tensor(Shape([2, 3]), np.ones(5, dtype=np.float32))
 
 
 def test_shape_rejects_nonpositive_extents():
@@ -37,7 +30,7 @@ def test_shape_numel_and_str():
 
 
 def test_tensor_is_immutable():
-    t = make_tensor([2], [1.0, 2.0])
+    t = Tensor(Shape([2]), np.array([1.0, 2.0], dtype=np.float32))
     with pytest.raises(ValueError):
         t.data[0] = 5.0
     with pytest.raises(AttributeError):
@@ -83,4 +76,4 @@ def test_random_fill_frozen_stream():
     t = random_fill(Shape([4]), seed=7, lo=0.0, hi=1.0)
     expected = [0.38982975482940674, 0.016788294538855553,
                 0.9007607102394104, 0.5829302668571472]
-    assert t.tolist() == expected
+    assert t.data.tolist() == expected
