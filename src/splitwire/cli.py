@@ -37,6 +37,10 @@ EXIT_DATA = 3
 EXIT_TRANSPORT = 4
 MAX_RATES = 100_000
 MAX_SAMPLES = 10_000_000
+MAX_IMAGES = 1_000_000
+# cmd_codec's round-trip error runs over blocks of this many elements, so no
+# float64 temporary is as large as the tensor
+_ERROR_BLOCK = 1 << 14
 
 
 def _resolve_config(args) -> Config:
@@ -129,6 +133,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _max_abs_error(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| of two float32 arrays, each difference taken in float64."""
+    err = 0.0
+    for i in range(0, a.size, _ERROR_BLOCK):
+        block = slice(i, i + _ERROR_BLOCK)
+        err = max(err, float(np.abs(a[block] - b[block].astype(np.float64)).max()))
+    return err
+
+
 def cmd_codec(args) -> int:
     msg = wire.load_message(args.infile)
     if args.action == "quantize":
@@ -136,7 +149,7 @@ def cmd_codec(args) -> int:
         q = codec.quantize8(tensor) if args.width == 8 else codec.quantize16(tensor)
         wire.save_message(args.out, wire.quantized_to_message(q))
         report = wire.data_size(q, os.path.getsize(args.infile))
-        err = np.abs(codec.dequantize(q).data - tensor.data.astype(np.float64)).max()
+        err = _max_abs_error(codec.dequantize(q).data, tensor.data)
         print(f"payload_bytes: {report.payload_bytes}")
         print(f"header_bytes: {report.header_bytes}")
         print(f"total_bytes: {report.total_bytes}")
@@ -214,6 +227,8 @@ def cmd_client(args) -> int:
     cfg = _resolve_config(args)
     if args.n < 1:
         raise ArgumentError(f"--n must be >= 1, got {args.n}")
+    if args.n > MAX_IMAGES:
+        raise ArgumentError(f"--n must be at most {MAX_IMAGES}, got {args.n}")
     shape = _parse_chw(args.shape)
     seed = _seed(args, cfg)
     if args.mode == "simulated":

@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 BINARY16_MAX = 65504.0
+_F32_MAX = float(np.finfo(np.float32).max)
+# a binary32 quotient this close to an integer rounds as the float64 one does
+_SAFE_DISTANCE = np.float32(0.5 - 2.0 ** -12)
 
 @dataclass(frozen=True)
 class QuantizedTensor:
@@ -90,6 +93,25 @@ def quantize8(t: Tensor) -> QuantizedTensor:
     ``+ zero_point`` are monotone, so every level lies between those of
     ``lo`` and ``hi``, in [0, 255]: the ``uint8`` cast never wraps and the
     round-trip error stays within scale/2.
+
+    The levels are computed in binary32 and give the same bytes as that
+    float64 formula. With ``r = binary32(1/scale)``, ``y = x * r`` in
+    binary32 and ``k = rint(y)``, only the elements where ``|y - k| > 1/2 -
+    2**-12``, or where ``y`` is NaN, are recomputed with the float64 formula:
+
+    - The range rule gives ``|x / scale| <= 255 * (1 + 2**-23)``. ``r`` has a
+      relative error of at most ``2**-24 + 2**-53`` and the product adds
+      ``2**-24``, so ``|y - x/scale| < 2**-14``. Outside the band, ``k`` is
+      therefore the integer nearest the exact quotient.
+    - The float64 formula gives that integer too. For binary32 ``x`` and
+      ``scale`` with ``|x / scale| >= 1/4``, the quotient is a half-integer
+      or lies at least ``2**-27`` from every half-integer, and float64's
+      error is at most ``2**-45``. An exact tie is representable, and both
+      formulas round it half to even.
+    - When ``1/scale`` overflows binary32 (a subnormal scale below
+      ``2**-128``), ``r`` is NaN, so every ``y`` is NaN and every element
+      takes the float64 formula. No other scale gives a reciprocal outside
+      binary32's normal range: ``scale <= 2 * FLT_MAX / 255``.
     """
     m, big = _finite_range(t)
     if big == m:
@@ -106,11 +128,16 @@ def quantize8(t: Tensor) -> QuantizedTensor:
         scale = float(np.nextafter(np.float32(scale), np.float32(np.inf)))
         zero_point = round(-lo / scale)
 
-    q = t.data.astype(np.float64)
-    q /= scale
-    np.rint(q, out=q)
-    q += zero_point
-    payload = q.astype(np.uint8).tobytes()
+    x = t.data
+    inv = 1.0 / scale
+    r = np.float32(inv) if inv <= _F32_MAX else np.float32(np.nan)
+    y = x * r
+    k = np.rint(y)
+    y -= k
+    redo = np.flatnonzero(~(np.abs(y, out=y) <= _SAFE_DISTANCE))
+    k[redo] = np.rint(x[redo].astype(np.float64) / scale)
+    k += zero_point
+    payload = k.astype(np.uint8).tobytes()
     return QuantizedTensor(t.shape, 8, scale, zero_point, payload)
 
 

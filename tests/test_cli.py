@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from splitwire import cli
 from splitwire.cli import MAX_RATES, MAX_SAMPLES, _parse_rates_mbps, main
 from splitwire.codec import quantize8
 from splitwire.config import (config_from_dict, load_config, load_reference_config,
@@ -274,6 +275,23 @@ def test_codec_outputs_are_byte_identical(case, tmp_path, monkeypatch, capsys):
         h.update(capsys.readouterr().out.encode())
         h.update(Path(f"back{width}.bin").read_bytes())
     assert h.hexdigest() == digest
+
+
+def test_codec_quantize_peak_memory_stays_near_the_tensor(tmp_path):
+    # the round-trip error over whole arrays took three float64 temporaries
+    # of 1.4 MB at the reference shape, a 5.3 MB peak at width 8
+    save_message(str(tmp_path / "t.bin"),
+                 tensor_to_message(random_fill(Shape([3, 223, 265]), 4, -1.0, 1.0)))
+    args = ["codec", "quantize", "--in", str(tmp_path / "t.bin"),
+            "--out", str(tmp_path / "q.bin"), "--width", "8"]
+    assert run(args) == 0  # the first run imports what it needs
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # --- netspec ----------------------------------------------------------------------
@@ -615,6 +633,21 @@ def test_out_of_range_number_exits_2_with_one_error_line(tmp_path, ref_path, cap
 
 
 @pytest.mark.parametrize("mode", ["simulated", "socket"])
+def test_client_n_over_cap_exits_2_before_it_builds_images(tmp_path, ref_path, capsys,
+                                                          monkeypatch, mode):
+    # the simulated client took ~360 bytes and 13 us per image, with no bound
+    monkeypatch.setattr(cli, "MAX_IMAGES", 5)
+    monkeypatch.setattr(cli, "make_stream", None)  # a socket client builds nothing
+    out = tmp_path / "x.csv"
+    assert run(["client", "--config", ref_path, "--mode", mode, "--addr", "127.0.0.1:1",
+                "--n", str(cli.MAX_IMAGES + 1), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert "at most 5" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["simulated", "socket"])
 @pytest.mark.parametrize("section, key, value", [
     ("channel", "rate_bps", "NaN"),
     ("channel", "rate_bps", "Infinity"),
@@ -873,9 +906,10 @@ def test_unloadable_json_document_exits_2(tmp_path, capsys, document, content):
 
 
 def test_allocation_too_large_exits_2(tmp_path, ref_path, capsys):
-    # 10**15 labels cannot be allocated on any machine: numpy raises MemoryError
-    assert run(["client", "--config", ref_path, "--mode", "simulated", "--n", str(10**15),
-                "--out", str(tmp_path / "s.csv")]) == 2
+    # a 10**15-element tensor cannot be allocated on any machine: numpy raises
+    # MemoryError while the socket client builds its images
+    assert run(["client", "--config", ref_path, "--addr", "127.0.0.1:1", "--n", "1",
+                "--shape", "1000x1000x1000000", "--out", str(tmp_path / "s.csv")]) == 2
     captured = capsys.readouterr()
     assert_one_error_line(captured.err)
     assert captured.out == ""

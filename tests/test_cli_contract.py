@@ -5,6 +5,8 @@ exits 0, 2 or 3 without a traceback, prints at most one `error:` line, and
 on exit 0 prints and writes no nan or inf. The one documented exception is
 `filter-metrics`, which prints nan for recall_nonempty, false_negative_rate
 and empirical_auc when its sample lacks a class (at `--n 1`, for example).
+`codec` is held to the same rule on wire files drawn as one valid frame with
+at most one mutation; its output files are binary and go unread.
 """
 
 import contextlib
@@ -13,16 +15,19 @@ import io
 import json
 import math
 import re
+import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from splitwire.cli import MAX_SAMPLES, main
 from splitwire.config import reference_config_path
 from splitwire.distill import fixture_names
+from splitwire.pipeline.wire import MsgType, WireMessage, encode_message
 
 REFERENCE = json.loads(Path(reference_config_path()).read_text())
 NUMERIC_FIELDS = [(section, key) for section in ("profile", "channel", "sizes", "filter")
@@ -194,19 +199,106 @@ def test_cli_exit_code_contract(doc, spec, argv):
         files = {name: str(Path(tmp, name[1:])) for name in ("@config", "@spec", "@out")}
         Path(files["@config"]).write_text(json.dumps(doc))
         Path(files["@spec"]).write_text(json.dumps(spec))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main([files.get(token, token) for token in argv])
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
-        assert code in (0, 2, 3), err.getvalue()
-        assert err.getvalue().count("error:") <= (1 if code else 0)
+        code, printed = run_checked([files.get(token, token) for token in argv])
         if code == 0:
-            printed = out.getvalue()
             if argv[0] == "filter-metrics":
                 printed = "\n".join(line for line in printed.splitlines()
                                     if not line.startswith(NAN_WHEN_A_CLASS_IS_ABSENT))
             written = Path(files["@out"])
             assert not NON_FINITE.search(printed)
             assert not (written.exists() and NON_FINITE.search(written.read_text()))
+
+
+def run_checked(argv):
+    """Exit code and stdout of ``main(argv)``, held to the exit-code and
+    one-error-line rules."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+    assert err.getvalue().count("error:") <= (1 if code else 0)
+    return code, out.getvalue()
+
+
+# --- codec on wire files ---------------------------------------------------------
+
+ELEMENT = {MsgType.QTENSOR8: "u1", MsgType.QTENSOR16: "<f2", MsgType.FTENSOR32: "<f4"}
+# byte offsets of a frame's msg_type, ndim and first dim; the scale follows the
+# dims, and the payload follows the 16 bytes of scale, zero point and length
+TYPE_AT, NDIM_AT, DIMS_AT = 5, 6, 7
+
+
+@st.composite
+def tensor_frames(draw, msg_types):
+    """One valid tensor frame of one of ``msg_types``."""
+    msg_type = draw(st.sampled_from(msg_types))
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    n = math.prod(dims)
+    if msg_type is MsgType.QTENSOR8:
+        payload = bytes(draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)))
+        scale = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, width=32))
+        zero_point = draw(st.integers(0, 255))
+    else:
+        bound = 65504.0 if msg_type is MsgType.QTENSOR16 else None
+        values = draw(st.lists(st.floats(-bound if bound else None, bound, width=32,
+                                         allow_nan=False, allow_infinity=False),
+                               min_size=n, max_size=n))
+        payload = np.array(values, dtype=ELEMENT[msg_type]).tobytes()
+        scale, zero_point = 1.0, 0
+    return encode_message(WireMessage(msg_type, tuple(dims), scale, zero_point, payload))
+
+
+def mutate(frame, kind, at, value):
+    """``frame`` with one defect of ``kind``; ``at`` and ``value`` pick where and what."""
+    frame = bytearray(frame)
+    rank, msg_type = frame[NDIM_AT], MsgType(frame[TYPE_AT])
+    scale_at = DIMS_AT + 4 * rank
+    if kind == "truncated":
+        return bytes(frame[:at % len(frame)])
+    if kind == "type":
+        frame[TYPE_AT] = value % 256
+    elif kind == "dims":
+        struct.pack_into(">I", frame, DIMS_AT + 4 * (at % rank), value)
+    elif kind == "nan" and msg_type is MsgType.QTENSOR8:
+        struct.pack_into(">f", frame, scale_at, math.nan)
+    elif kind == "nan":
+        nan = np.array([math.nan], dtype=ELEMENT[msg_type]).tobytes()
+        payload_at = scale_at + 16
+        start = payload_at + len(nan) * (at % ((len(frame) - payload_at) // len(nan)))
+        frame[start:start + len(nan)] = nan
+    return bytes(frame)
+
+
+# quantize reads a float32 tensor, dequantize any of the three
+codec_runs = st.one_of(
+    st.tuples(st.sampled_from([["quantize", "--width", "8"], ["quantize", "--width", "16"]]),
+              tensor_frames([MsgType.FTENSOR32])),
+    st.tuples(st.just(["dequantize"]), tensor_frames(sorted(ELEMENT))),
+)
+
+
+def f32_frame(values):
+    values = np.array(values, dtype="<f4")
+    return encode_message(WireMessage(MsgType.FTENSOR32, (values.size,), 1.0, 0,
+                                      values.tobytes()))
+
+
+# no explain phase: on a failing example it traced for minutes and grew past 1.5 GB
+@settings(max_examples=150, phases=[p for p in Phase if p is not Phase.explain])
+@given(run=codec_runs, kind=st.sampled_from(["none", "truncated", "type", "dims", "nan"]),
+       at=st.integers(0, 10**6), value=st.integers(0, 2**32 - 1))
+@example(run=(["quantize", "--width", "8"], f32_frame([-1.0, 1.0])), kind="none", at=0,
+         value=0)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_codec_exit_code_contract(run, kind, at, value):
+    argv, frame = run
+    with tempfile.TemporaryDirectory() as tmp:
+        infile, outfile = Path(tmp, "in.bin"), Path(tmp, "out.bin")
+        infile.write_bytes(mutate(frame, kind, at, value))
+        code, printed = run_checked(["codec", argv[0], "--in", str(infile),
+                                     "--out", str(outfile), *argv[1:]])
+        if code == 0:
+            assert not NON_FINITE.search(printed)

@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import splitwire.codec
 from splitwire.codec import (
     BINARY16_MAX,
     QuantizedTensor,
@@ -36,6 +37,47 @@ def same(a, b):
 
 
 # --- independent oracles ------------------------------------------------------
+
+def float64_levels(x, scale, zero_point):
+    """quantize8's payload as its levels were computed through float64."""
+    q = x.astype(np.float64)
+    q /= scale
+    np.rint(q, out=q)
+    q += zero_point
+    return q.astype(np.uint8).tobytes()
+
+
+class Float64RintSpy:
+    """Stands in for numpy inside splitwire.codec; records the size of every
+    rint taken in float64, the formula quantize8 redoes near-ties with."""
+
+    def __init__(self):
+        self.float64_sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def rint(self, a, *args, **kwargs):
+        if a.dtype == np.float64:
+            self.float64_sizes.append(a.size)
+        return np.rint(a, *args, **kwargs)
+
+
+def quantize8_spied(t):
+    """quantize8(t) and the number of elements it redid in float64."""
+    spy = Float64RintSpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitwire.codec, "np", spy)
+        q = quantize8(t)
+    return q, sum(spy.float64_sizes)
+
+
+def scale_underflows(values):
+    """Whether quantize8 rejects ``values``: not constant, and the binary32
+    scale of their range widened to include 0 underflows."""
+    lo, hi = min(min(values), 0.0), max(max(values), 0.0)
+    return min(values) < max(values) and np.float32((hi - lo) / 255) == 0
+
 
 def oracle_affine_quant(values, scale, zero_point):
     """Direct per-element rounding, pure Python."""
@@ -180,6 +222,69 @@ def test_quantize8_clips_in_float64_before_narrowing(values):
     assert list(q.payload) == levels.astype(int).tolist()
     err = np.max(np.abs(dequantize(q).data.astype(np.float64) - x))
     assert err <= q.scale / 2
+
+
+# the range [0, 255] has scale 1 and [0, 191.25] scale 0.75, so x / scale is
+# exactly a half-integer at these ties: both round half to even
+EXACT_TIES = [0.0, 0.5, 1.5, 2.5, 253.5, 254.5, 255.0]
+EXACT_TIES_AT_0_75 = [0.0, 0.375, 1.125, 1.875, 190.875, 191.25]
+# a subnormal scale of 1.9e-43, whose reciprocal overflows binary32
+RECIPROCAL_OVERFLOWS = [6.28342231403248e-42, 4.097957229071495e-41, 4.912251766690646e-41]
+
+
+@given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=64))
+@example(EXACT_TIES)
+@example(EXACT_TIES_AT_0_75)
+@example(RECIPROCAL_OVERFLOWS)
+@example([-0.0, 1.0, 0.0, -0.0])
+@example([-0.0, -1.0])
+@example([-3.4028234663852886e38, 3.4028234663852886e38, 1e-45, -1e-45])
+def test_quantize8_levels_equal_the_float64_formula(values):
+    # subnormals included: hypothesis draws them for binary32 by default
+    assume(not scale_underflows(values))
+    t = f32([len(values)], values)
+    q = quantize8(t)
+    assert q.payload == float64_levels(t.data, q.scale, q.zero_point)
+
+
+@given(st.floats(width=32, allow_nan=False, allow_infinity=False),
+       st.floats(width=32, allow_nan=False, allow_infinity=False),
+       st.lists(st.tuples(st.integers(0, 254), st.integers(-4, 4)), min_size=1, max_size=32))
+@example(0.0, 255.0, [(0, 0), (1, 0), (2, 0), (254, 0)])
+@example(-1.0, 1.0, [(127, 1), (127, -1), (128, 0), (3, 4)])
+def test_quantize8_near_ties_equal_the_float64_formula(a, b, ties):
+    # binary32(scale * (level - zero_point + 1/2)), moved by up to 4 ulps,
+    # is within 2**-13 of a half-integer of the scale: each takes the redo
+    assume(a < b and not scale_underflows([a, b]))
+    ends = quantize8(f32([2], [a, b]))
+    near = []
+    for level, ulps in ties:
+        v = np.float32(ends.scale * (level - ends.zero_point + 0.5))
+        for _ in range(abs(ulps)):
+            v = np.nextafter(v, np.float32(math.copysign(math.inf, ulps)))
+        if a <= v <= b:
+            near.append(v)
+    t = f32([2 + len(near)], [a, b, *near])
+    q, redone = quantize8_spied(t)
+    assert (q.scale, q.zero_point) == (ends.scale, ends.zero_point)
+    assert q.payload == float64_levels(t.data, q.scale, q.zero_point)
+    assert redone >= len(near)
+
+
+@pytest.mark.parametrize("values, redone", [
+    ([0.0, 1.0, 2.0, 255.0], 0),
+    (EXACT_TIES, 5),
+    (EXACT_TIES_AT_0_75, 4),
+    (RECIPROCAL_OVERFLOWS, 3),
+], ids=["no-ties", "ties-at-scale-1", "ties-at-scale-0.75", "reciprocal-overflows"])
+def test_quantize8_redoes_only_near_ties_in_float64(values, redone):
+    t = f32([len(values)], values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, n = quantize8_spied(t)
+    assert n == redone
+    assert q.payload == float64_levels(t.data, q.scale, q.zero_point)
 
 
 # --- quantize16 -----------------------------------------------------------------
@@ -364,10 +469,10 @@ def test_ratio_requires_positive_reference():
                 min_size=1, max_size=64))
 @example([6.28342231403248e-42, 4.097957229071495e-41, 4.912251766690646e-41])
 @example([-3.160628686284625e-41, -5.62677385364987e-41, -1.394011712310328e-41])
+@example([1e-45])  # constant, so no underflow error, though [0, 1e-45] underflows
 def test_roundtrip_bound_property(values):
     t = f32([len(values)], values)
-    lo, hi = min(min(values), 0.0), max(max(values), 0.0)
-    if lo < hi and np.float32((hi - lo) / 255) == 0:
+    if scale_underflows(values):
         # the documented error for a range whose binary32 scale underflows
         with pytest.raises(CodecError, match="underflows"):
             quantize8(t)
