@@ -38,6 +38,7 @@ EXIT_TRANSPORT = 4
 MAX_RATES = 100_000
 MAX_SAMPLES = 10_000_000
 MAX_IMAGES = 1_000_000
+MAX_EPOCHS = 100_000
 # cmd_codec's round-trip error runs over blocks of this many elements, so no
 # float64 temporary is as large as the tensor
 _ERROR_BLOCK = 1 << 14
@@ -186,6 +187,9 @@ def cmd_netspec(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    # ~0.1 ms and ~170 bytes of history per epoch, with no other bound
+    if args.epochs is not None and args.epochs > MAX_EPOCHS:
+        raise ArgumentError(f"--epochs must be at most {MAX_EPOCHS}, got {args.epochs}")
     fx = distill.get_fixture(args.fixture, epochs=args.epochs, seed=args.seed)
     trained, history = distill.train_toy(fx.teacher, fx.student, fx.data, fx.cfg)
     distill.write_history_csv(history, args.out)
@@ -218,8 +222,7 @@ def cmd_filter_metrics(args) -> int:
 def cmd_serve(args) -> int:
     cfg = _resolve_config(args)
     host, port = _parse_addr(args.addr)
-    serve(host, port, cfg.profile, tail_mode=args.tail_mode,
-          idle_timeout_s=args.idle_timeout)
+    serve(host, port, cfg.profile, idle_timeout_s=args.idle_timeout)
     return EXIT_OK
 
 
@@ -310,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the tail-side server (blocking)")
     add_config(p)
     p.add_argument("--addr", required=True, help="bind address HOST:PORT")
-    p.add_argument("--tail-mode", choices=("virtual", "sleep"), default="virtual")
     p.add_argument("--idle-timeout", type=float, default=None)
     p.set_defaults(func=cmd_serve)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import RangeError, check_number
 
-__all__ = ["FilterModel", "GateMetrics", "filter_decide", "gate_metrics"]
+__all__ = ["FilterModel", "GateMetrics", "gate_metrics"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,10 @@ class FilterModel:
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-latent))
 
+    def drops(self, scores: np.ndarray) -> np.ndarray:
+        """True where an image is dropped: its score strictly below the threshold."""
+        return scores < self.threshold
+
     def drop_probability(self, is_empty: bool) -> float:
         """P(score < threshold | class), in closed form."""
         if self.threshold <= 0.0:
@@ -65,15 +69,6 @@ class FilterModel:
 
 def _norm_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def filter_decide(score: float, threshold: float) -> bool:
-    """True when the image should be dropped (score strictly below threshold)."""
-    if not 0.0 <= score <= 1.0:
-        raise RangeError(f"score must be in [0, 1], got {score}")
-    if not 0.0 <= threshold <= 1.0:
-        raise RangeError(f"threshold must be in [0, 1], got {threshold}")
-    return score < threshold
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ def gate_metrics(fm: FilterModel, n: int, seed: int) -> GateMetrics:
     rng = np.random.default_rng(seed)
     is_empty = rng.random(n) < fm.p_empty
     scores = fm.sample_scores(is_empty, rng)
-    dropped = scores < fm.threshold
+    dropped = fm.drops(scores)
 
     nonempty = ~is_empty
     n_nonempty = int(nonempty.sum())

@@ -1,11 +1,13 @@
 """Tail-side server: decode frames, run the profiled tail stub, reply.
 
-The tail computation is a stub: it either charges virtual time (default) or
-really sleeps for t_tail per frame, which is all the delay model needs. Each
-tensor frame is dequantized and answered with a DETECTION_RESULT whose
-payload is the SHA-256 digest of the dequantized tensor, so clients can
-verify bit-exact transport. A malformed frame closes only that connection;
-the server keeps serving.
+The tail computation is a stub that charges virtual time, which is all the
+delay model needs: t_tail per tensor frame and, for a JPEG frame, which the
+full model handles, t_edge_full. Each tensor frame is dequantized and
+answered with a DETECTION_RESULT whose payload is the SHA-256 digest of the
+dequantized tensor, so clients can verify bit-exact transport. A malformed
+frame closes only that connection, and a failed accept or a handler thread
+that cannot start costs at most one connection; the server keeps serving
+until stop().
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import logging
 import math
 import socket
 import threading
-import time
 from dataclasses import dataclass, field
 
 from ..codec import dequantize
@@ -52,16 +53,12 @@ class PipelineServer:
     host: str = "127.0.0.1"
     port: int = 0
     prof: ExecutionProfile | None = None
-    tail_mode: str = "virtual"  # "virtual" charges time, "sleep" really waits
     idle_timeout_s: float | None = None
     stats: list[ConnectionStats] = field(default_factory=list)
 
     def __post_init__(self):
         # checked here: a handler thread would die on a bad timeout before it
         # could close its connection
-        if self.tail_mode not in ("virtual", "sleep"):
-            raise ArgumentError(f"tail_mode must be 'virtual' or 'sleep', "
-                                f"got {self.tail_mode!r}")
         t = self.idle_timeout_s
         if t is not None and not (math.isfinite(t) and t > 0):
             raise ArgumentError(f"idle_timeout_s must be None or finite and > 0, got {t}")
@@ -122,20 +119,31 @@ class PipelineServer:
         self.stop()
 
     def _accept_loop(self) -> None:
+        # only stop() ends the loop: an accept error such as EMFILE, or a
+        # handler thread that cannot start, costs at most one connection
         while not self._stop.is_set():
             try:
                 conn, peer = self._listener.accept()
             except socket.timeout:
                 continue
-            except OSError:
-                break
+            except OSError as exc:
+                log.warning("accept failed, retrying: %s", exc)
+                self._stop.wait(0.2)
+                continue
             handler = threading.Thread(target=self._handle, args=(conn, peer),
                                        daemon=True)
             with self._lock:
                 self._live.add(conn)
                 self._handlers = [h for h in self._handlers if h.is_alive()]
                 self._handlers.append(handler)
-            handler.start()
+            try:
+                handler.start()
+            except RuntimeError as exc:
+                log.warning("closing %s, no handler thread: %s", peer, exc)
+                with self._lock:
+                    self._live.remove(conn)
+                    self._handlers.remove(handler)
+                conn.close()
 
     def _handle(self, conn: socket.socket, peer) -> None:
         stats = ConnectionStats(peer)
@@ -168,29 +176,28 @@ class PipelineServer:
             conn.close()
 
     def _respond(self, msg: WireMessage, stats: ConnectionStats) -> WireMessage:
+        prof = self.prof
         if msg.msg_type is MsgType.JPEG_IMAGE:
-            # full-model path: acknowledge with a digest of the opaque bytes
-            self._charge_tail(stats)
+            # full-model path, charged as PO's server time: acknowledge with
+            # a digest of the opaque bytes
+            stats.tail_seconds += 0.0 if prof is None else prof.t_edge_full
             return detection_result_message(hashlib.sha256(msg.payload).digest())
         if msg.msg_type in (MsgType.DETECTION_RESULT, MsgType.EMPTY_RESULT):
             return empty_result_message()
         tensor = dequantize(message_to_quantized(msg))
-        self._charge_tail(stats)
+        stats.tail_seconds += 0.0 if prof is None else prof.t_tail
         return detection_result_message(tensor_digest(tensor))
-
-    def _charge_tail(self, stats: ConnectionStats) -> None:
-        t_tail = self.prof.t_tail if self.prof is not None else 0.0
-        stats.tail_seconds += t_tail
-        if self.tail_mode == "sleep" and t_tail > 0:
-            time.sleep(t_tail)
 
 
 def serve(host: str, port: int, prof: ExecutionProfile | None = None,
-          tail_mode: str = "virtual",
           idle_timeout_s: float | None = None) -> None:
-    """Blocking server loop (Ctrl-C to stop); used by the CLI."""
-    server = PipelineServer(host, port, prof, tail_mode, idle_timeout_s).start()
-    log.info("serving on %s:%d", *server.address)
+    """Blocking server loop (Ctrl-C to stop); used by the CLI.
+
+    Prints ``serving on HOST:PORT`` with the bound address, so a caller that
+    asked for port 0 learns the port the system chose.
+    """
+    server = PipelineServer(host, port, prof, idle_timeout_s=idle_timeout_s).start()
+    print("serving on %s:%d" % server.address, flush=True)
     try:
         while True:
             server._accept_thread.join(timeout=1.0)

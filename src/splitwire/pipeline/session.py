@@ -20,8 +20,8 @@ Two transports:
   one chunk), and checks it against the digest in the tail's reply.
 
 Per-image head time is charged as t_head + t_filter_extra (the filter branch
-runs alongside the head on every image). A dropped image sends nothing and
-pays no tail time.
+runs alongside the head on every image). ``FilterModel.drops`` decides which
+images are dropped; a dropped image sends nothing and pays no tail time.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..codec import QuantizedTensor, dequantize, quantize8, quantize16, passthro
 from ..errors import ArgumentError, ProtocolError, TransportError
 from ..latency import ChannelModel, ExecutionProfile, transfer_time
 from ..tensor import Shape, Tensor, random_fill
-from .filtergate import FilterModel, filter_decide
+from .filtergate import FilterModel
 from .wire import (MsgType, WireMessage, decode_message, encode_message,
                    quantized_to_message, recv_frame, tensor_digest, wire_header_bytes)
 
@@ -188,7 +188,7 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
 
     rng = np.random.default_rng([0x5C0FE5, seed])
     labels = np.array([empty for _, empty in images], dtype=bool)
-    scores = fm.sample_scores(labels, rng)
+    dropped = fm.drops(fm.sample_scores(labels, rng))
 
     head_s = prof.t_head + prof.t_filter_extra
     records: list[ImageRecord] = []
@@ -206,8 +206,7 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
 
     try:
         for i, (img, _empty) in enumerate(images):
-            score = float(np.clip(scores[i], 0.0, 1.0))
-            if filter_decide(score, fm.threshold):
+            if dropped[i]:
                 records.append(ImageRecord(i, True, 0, head_s, 0.0, 0.0))
                 continue
 

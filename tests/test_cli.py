@@ -1,6 +1,12 @@
 import hashlib
 import json
+import os
+import re
 import resource
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -418,6 +424,21 @@ def test_distill_zero_epochs_exits_2(tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_distill_epochs_over_cap_exits_2_before_it_builds_the_fixture(tmp_path, capsys,
+                                                                     monkeypatch):
+    # ~0.1 ms and ~174 bytes of history per epoch: --epochs 10**9 would run
+    # about a day and grow past 150 GB
+    monkeypatch.setattr(cli, "MAX_EPOCHS", 5)
+    monkeypatch.setattr(cli.distill, "get_fixture", None)
+    out = tmp_path / "h.csv"
+    assert run(["distill", "--fixture", "rank2_full", "--epochs", str(cli.MAX_EPOCHS + 1),
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert "at most 5" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_distill_unknown_fixture_exits_2(tmp_path):
     assert run(["distill", "--fixture", "resnet50", "--out",
                 str(tmp_path / "x.csv")]) == 2
@@ -752,6 +773,33 @@ def test_serve_then_client_over_cli(tmp_path, ref_path):
         time.sleep(0.1)
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 6
+
+
+def test_serve_prints_its_address_and_stops_on_sigint(tmp_path, ref_path):
+    # with port 0 the printed line is the only way to learn the bound port
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    with subprocess.Popen([sys.executable, "-m", "splitwire.cli", "serve", "--config", ref_path,
+                           "--addr", "127.0.0.1:0"], stdout=subprocess.PIPE, text=True,
+                          env=env) as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+            assert ready, "serve printed nothing"
+            line = proc.stdout.readline()
+            bound = re.fullmatch(r"serving on 127\.0\.0\.1:(\d+)\n", line)
+            assert bound and int(bound.group(1)) != 0, line
+            out = tmp_path / "session.csv"
+            assert run(["client", "--config", ref_path, "--mode", "socket",
+                        "--addr", f"127.0.0.1:{bound.group(1)}", "--n", "20",
+                        "--shape", "3x16x16", "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 21
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=5.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 # --- file errors -----------------------------------------------------------------------

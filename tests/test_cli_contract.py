@@ -6,7 +6,9 @@ on exit 0 prints and writes no nan or inf. The one documented exception is
 `filter-metrics`, which prints nan for recall_nonempty, false_negative_rate
 and empirical_auc when its sample lacks a class (at `--n 1`, for example).
 `codec` is held to the same rule on wire files drawn as one valid frame with
-at most one mutation; its output files are binary and go unread.
+at most one mutation; its output files are binary and go unread. A
+socket-mode `client` against a live server, an unused port or a malformed
+address may also exit 4, a transport problem.
 """
 
 import contextlib
@@ -24,9 +26,10 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from splitwire.cli import MAX_SAMPLES, main
+from splitwire.cli import MAX_EPOCHS, MAX_SAMPLES, main
 from splitwire.config import reference_config_path
 from splitwire.distill import fixture_names
+from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.wire import MsgType, WireMessage, encode_message
 
 REFERENCE = json.loads(Path(reference_config_path()).read_text())
@@ -115,7 +118,10 @@ argvs = st.one_of(
               optional("--seed", flag_seeds)),
     st.tuples(st.just(["distill", "--out", "@out", "--fixture"]),
               st.sampled_from([*fixture_names(), "nope"]).map(lambda f: [f]),
-              st.integers(-1, 3).map(lambda e: ["--epochs", str(e)]),
+              # never MAX_EPOCHS itself, which trains for seconds
+              st.one_of(st.integers(-1, 3),
+                        st.sampled_from([MAX_EPOCHS + 1, 10**9, 10**30])).map(
+                  lambda e: ["--epochs", str(e)]),
               optional("--seed", flag_seeds)),
 ).map(lambda parts: [token for part in parts for token in part])
 
@@ -155,6 +161,9 @@ SWEEP = ["sweep", "--config", "@config", "--out", "@out", "--rates"]
                                          "--n", "2", "--seed", "-1", "--out", "@out"])
 @example(doc=REFERENCE, spec=None, argv=["distill", "--fixture", "rank2_full", "--epochs", "1",
                                          "--seed", "-100000", "--out", "@out"])
+# an epoch count that trains for hours and grows without bound
+@example(doc=REFERENCE, spec=None, argv=["distill", "--fixture", "rank2_full", "--epochs",
+                                         str(MAX_EPOCHS + 1), "--out", "@out"])
 # mistyped layer fields that ended in a traceback
 @example(doc=REFERENCE, spec=conv(oc="2"), argv=NETSPEC)
 @example(doc=REFERENCE, spec=conv(oc=math.nan), argv=NETSPEC)
@@ -209,7 +218,7 @@ def test_cli_exit_code_contract(doc, spec, argv):
             assert not (written.exists() and NON_FINITE.search(written.read_text()))
 
 
-def run_checked(argv):
+def run_checked(argv, codes=(0, 2, 3)):
     """Exit code and stdout of ``main(argv)``, held to the exit-code and
     one-error-line rules."""
     out, err = io.StringIO(), io.StringIO()
@@ -218,7 +227,7 @@ def run_checked(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    assert code in (0, 2, 3), err.getvalue()
+    assert code in codes, err.getvalue()
     assert err.getvalue().count("error:") <= (1 if code else 0)
     return code, out.getvalue()
 
@@ -302,3 +311,53 @@ def test_codec_exit_code_contract(run, kind, at, value):
                                      "--out", str(outfile), *argv[1:]])
         if code == 0:
             assert not NON_FINITE.search(printed)
+
+
+# --- socket-mode client ----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def server_addr():
+    with PipelineServer() as srv:
+        yield "%s:%d" % srv.address
+
+
+def paces_for_long(doc):
+    """True when the config accepts a rate under 1 Mbps, where a socket session
+    really paces its frames and may run for hours (at 1 bps, for example)."""
+    rate = doc["channel"]["rate_bps"]
+    return type(rate) in (int, float) and 0 < rate < 1e6
+
+
+# "@server" stands for the module's server, drawn as often as the rest together;
+# port 1 has no listener
+socket_argvs = st.tuples(
+    st.just(["client", "--config", "@config", "--mode", "socket", "--out", "@out"]),
+    st.one_of(st.just("@server"),
+              st.sampled_from(["127.0.0.1:1", "127.0.0.1:99999", "127.0.0.1", ":7925",
+                               "127.0.0.1:x"])).map(lambda a: ["--addr", a]),
+    st.integers(1, 8).map(lambda n: ["--n", str(n)]),
+    st.one_of(st.builds("{}x{}x{}".format, st.integers(1, 3), st.integers(1, 16),
+                        st.integers(1, 16)),
+              st.sampled_from(["3x0x4", "3x8", "axb"])).map(lambda s: ["--shape", s]),
+    optional("--width", st.sampled_from(["8", "16", "32"])),
+    optional("--seed", flag_seeds),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+@settings(max_examples=200)
+@example(doc=REFERENCE, argv=["client", "--config", "@config", "--mode", "socket", "--out",
+                              "@out", "--addr", "@server", "--n", "8", "--shape", "3x16x16",
+                              "--width", "32"])
+@given(doc=st.one_of(st.just(REFERENCE), configs().filter(lambda doc: not paces_for_long(doc))),
+       argv=socket_argvs)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_socket_client_exit_code_contract(server_addr, doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"@config": str(Path(tmp, "config")), "@out": str(Path(tmp, "out")),
+                 "@server": server_addr}
+        Path(files["@config"]).write_text(json.dumps(doc))
+        code, printed = run_checked([files.get(token, token) for token in argv],
+                                    codes=(0, 2, 3, 4))
+        if code == 0:
+            assert not NON_FINITE.search(printed)
+            assert not NON_FINITE.search(Path(files["@out"]).read_text())

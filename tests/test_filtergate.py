@@ -6,35 +6,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from splitwire.errors import RangeError
-from splitwire.pipeline.filtergate import (
-    FilterModel,
-    _rank_auc,
-    filter_decide,
-    gate_metrics,
-)
+from splitwire.pipeline.filtergate import FilterModel, _rank_auc, gate_metrics
 
 
 def test_score_below_threshold_drops():
-    assert filter_decide(0.05, 0.1) is True
+    drops = FilterModel(threshold=0.1).drops(np.array([0.05, 0.1, 0.2]))
+    assert drops.tolist() == [True, False, False]
 
 
 def test_boundary_score_is_kept():
     # the rule is strictly less-than
-    assert filter_decide(0.1, 0.1) is False
+    assert FilterModel(threshold=0.1).drops(np.array([0.1])).tolist() == [False]
 
 
 def test_zero_threshold_keeps_everything():
-    for score in (0.0, 0.01, 0.5, 1.0):
-        assert filter_decide(score, 0.0) is False
-
-
-def test_score_range_checked():
-    with pytest.raises(RangeError):
-        filter_decide(1.2, 0.1)
-    with pytest.raises(RangeError):
-        filter_decide(-0.1, 0.1)
-    with pytest.raises(RangeError):
-        filter_decide(0.5, 1.5)
+    drops = FilterModel(threshold=0.0).drops(np.array([0.0, 0.01, 0.5, 1.0]))
+    assert drops.tolist() == [False] * 4
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -131,12 +118,19 @@ def test_drop_probability_closed_form():
     assert FilterModel(threshold=1.0).drop_probability(False) == 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scores_live_in_unit_interval():
-    fm = FilterModel(mu_empty=-30.0, mu_nonempty=30.0, sigma_empty=5.0,
-                     sigma_nonempty=5.0)
-    rng = np.random.default_rng(5)
-    scores = fm.sample_scores(np.array([True, False] * 500), rng)
-    assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
+    # the gate compares raw scores, so no NaN or out-of-range score may reach
+    # it: with finite means and sigmas a latent is finite or +-inf, never NaN
+    for kwargs in [
+        dict(mu_empty=-30.0, mu_nonempty=30.0, sigma_empty=5.0, sigma_nonempty=5.0),
+        dict(mu_empty=-1e308, mu_nonempty=1e308),
+        dict(mu_empty=1e308, mu_nonempty=-1e308, sigma_empty=1e308, sigma_nonempty=1e308),
+        dict(sigma_empty=1e308, sigma_nonempty=1e-300),
+    ]:
+        rng = np.random.default_rng(5)
+        scores = FilterModel(**kwargs).sample_scores(np.array([True, False] * 500), rng)
+        assert np.all(scores >= 0.0) and np.all(scores <= 1.0), kwargs
 
 
 def test_model_validation():

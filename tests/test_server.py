@@ -1,3 +1,4 @@
+import errno
 import gc
 import socket
 import sys
@@ -122,8 +123,7 @@ def test_idle_timeout_closes_cleanly():
 
 @pytest.mark.parametrize("kwargs", [
     {"idle_timeout_s": -1.0}, {"idle_timeout_s": 0.0}, {"idle_timeout_s": float("nan")},
-    {"tail_mode": "bogus"},
-], ids=["timeout-negative", "timeout-zero", "timeout-nan", "tail-mode-bogus"])
+], ids=["timeout-negative", "timeout-zero", "timeout-nan"])
 def test_unusable_setting_is_rejected_before_serving(kwargs):
     # accepted, each would kill its handler in settimeout before the socket is closed
     with pytest.raises(ArgumentError):
@@ -194,6 +194,56 @@ def test_stop_joins_a_handler_that_is_still_closing(monkeypatch):
     socket.create_connection(srv.address, timeout=2.0).close()
     assert closing.wait(timeout=5.0)
     srv.stop()
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_accept_error_does_not_end_the_server(monkeypatch):
+    # one EMFILE from accept ended the accept thread, so later clients
+    # connected into the backlog and were never answered
+    failed = threading.Event()
+    real_accept = socket.socket.accept
+
+    def accept_fails_once(sock):
+        if not failed.is_set():
+            failed.set()
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_fails_once)
+    images = make_stream(2, [3, 4, 4], 0.0, seed=30)
+    with PipelineServer(prof=PROF) as srv:
+        assert failed.wait(timeout=5.0)
+        log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket", seed=31,
+                          server_addr=srv.address, connect_timeout_s=2.0)
+    assert len(log.records) == 2
+
+
+def test_handler_that_cannot_start_costs_one_connection(monkeypatch):
+    # a failed Thread.start ended the accept thread, and left an unstarted
+    # handler that stop() then failed to join
+    failed = threading.Event()
+    real_start = threading.Thread.start
+
+    def start_fails_once(thread):
+        if sys._getframe(1).f_code.co_name == "_accept_loop" and not failed.is_set():
+            failed.set()
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_fails_once)
+    before = set(threading.enumerate())
+    srv = PipelineServer(prof=PROF).start()
+    try:
+        with socket.create_connection(srv.address, timeout=2.0) as first:
+            assert first.recv(1) == b""  # closed, not left hanging
+        assert failed.is_set()
+        images = make_stream(2, [3, 4, 4], 0.0, seed=32)
+        log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket", seed=33,
+                          server_addr=srv.address, connect_timeout_s=2.0)
+        assert len(log.records) == 2
+    finally:
+        srv.stop()
+    assert srv._live == set()
     assert [t for t in threading.enumerate() if t not in before] == []
 
 
@@ -270,18 +320,8 @@ def test_jpeg_frames_are_acknowledged():
             reply = read_frame(sock)
     assert reply.msg_type is MsgType.DETECTION_RESULT
     assert reply.payload == hashlib.sha256(payload).digest()
-
-
-def test_sleep_tail_mode_really_waits():
-    prof = ExecutionProfile(t_local=1.0, t_edge_full=0.05, t_head=0.01,
-                            t_tail=0.05, t_filter_extra=0.0)
-    images = make_stream(4, [3, 4, 4], 0.0, seed=10)
-    with PipelineServer(prof=prof, tail_mode="sleep") as srv:
-        start = time.monotonic()
-        run_session(images, prof, FAST, KEEP_ALL, mode="socket", seed=11,
-                    server_addr=srv.address)
-        elapsed = time.monotonic() - start
-    assert elapsed >= 4 * prof.t_tail
+    # the full model runs on the server, as in the PO strategy
+    assert srv.stats[0].tail_seconds == PROF.t_edge_full
 
 
 def test_token_bucket_paces_wall_clock_uplink():

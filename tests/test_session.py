@@ -190,13 +190,28 @@ def test_wrong_reply_digest_raises_protocol_error():
 
 
 def test_slow_reply_is_a_timeout_not_a_closed_connection():
-    slow = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
-                            t_tail=0.6, t_filter_extra=0.004)
+    # a stub tail that reads the frame and never replies
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def silent_tail():
+        conn, _ = listener.accept()
+        with conn:
+            read_frame(conn)
+            done.wait(timeout=5.0)
+
+    tail = threading.Thread(target=silent_tail, daemon=True)
+    tail.start()
     images = make_stream(1, [3, 4, 4], 0.0, seed=21)
-    with PipelineServer(prof=slow, tail_mode="sleep") as srv:
+    try:
         with pytest.raises(TransportError) as info:
-            run_session(images, slow, CH, SHARP_FM, mode="socket", seed=22,
-                        server_addr=srv.address, connect_timeout_s=0.3)
+            run_session(images, PROF, CH, SHARP_FM, mode="socket", seed=22,
+                        server_addr=listener.getsockname(), connect_timeout_s=0.3)
+    finally:
+        done.set()
+        tail.join(timeout=5.0)
+        listener.close()
+    assert not tail.is_alive()
     assert "no reply" in str(info.value)
     assert "closed" not in str(info.value)
 
