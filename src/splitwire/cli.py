@@ -146,9 +146,11 @@ def _max_abs_error(a: np.ndarray, b: np.ndarray) -> float:
 def cmd_codec(args) -> int:
     msg = wire.load_message(args.infile)
     if args.action == "quantize":
-        tensor = wire.message_to_tensor(msg)
+        if msg.msg_type is not wire.MsgType.FTENSOR32:
+            raise CodecError(f"expected FTENSOR32, got {msg.msg_type.name}")
+        tensor = codec.dequantize(msg)
         q = codec.quantize8(tensor) if args.width == 8 else codec.quantize16(tensor)
-        wire.save_message(args.out, wire.quantized_to_message(q))
+        wire.save_message(args.out, q)
         report = wire.data_size(q, os.path.getsize(args.infile))
         err = _max_abs_error(codec.dequantize(q).data, tensor.data)
         print(f"payload_bytes: {report.payload_bytes}")
@@ -156,13 +158,13 @@ def cmd_codec(args) -> int:
         print(f"total_bytes: {report.total_bytes}")
         print(f"ratio_vs_input_file: {report.ratio_vs_reference:.6f}")
         print(f"max_roundtrip_error: {err:.8g}")
-        if q.width == 8:
+        if args.width == 8:
             print(f"scale: {q.scale:.8g} zero_point: {q.zero_point}")
     else:
-        q = wire.message_to_quantized(msg)
-        tensor = codec.dequantize(q)
+        tensor = codec.dequantize(msg)
         wire.save_message(args.out, wire.tensor_to_message(tensor))
-        print(f"dequantized {q.width}-bit tensor {tensor.shape} to {args.out}")
+        width = wire.ELEMENT_BITS[msg.msg_type]
+        print(f"dequantized {width}-bit tensor {tensor.shape} to {args.out}")
     return EXIT_OK
 
 

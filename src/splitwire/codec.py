@@ -3,68 +3,32 @@
 Width 8 uses an affine scheme (one float32 scale plus an integer zero point).
 The representable range is widened to include zero, so the round-trip error
 never exceeds scale/2 even for sign-definite tensors. Width 16 is a plain
-IEEE 754 binary16 cast with round-to-nearest-even; width 32 is an identity
-passthrough. Payload element order is row-major; 16- and 32-bit elements are
-stored little-endian. ``quantize8``, ``quantize16`` and ``dequantize`` raise
-CodecError on a NaN or infinite value.
+IEEE 754 binary16 cast with round-to-nearest-even; width 32 is the float32
+values as they are. Payload element order is row-major; 16- and 32-bit
+elements are stored little-endian. ``quantize8``, ``quantize16`` and
+``dequantize`` raise CodecError on a NaN or infinite value.
 
-This module only quantizes: the frame a payload travels in, and its byte
-accounting, belong to ``splitwire.pipeline.wire``.
+The quantizers return the ``WireMessage`` that goes on the wire, and
+``dequantize`` takes one: ``splitwire.pipeline.wire`` owns that record, the
+frame layout and the width of each message type (``ELEMENT_BITS``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CodecError
+from .pipeline.wire import ELEMENT_BITS, MsgType, WireMessage
 from .tensor import Shape, Tensor
 
-__all__ = [
-    "QuantizedTensor",
-    "quantize8",
-    "quantize16",
-    "passthrough32",
-    "dequantize",
-]
+__all__ = ["quantize8", "quantize16", "dequantize"]
 
 BINARY16_MAX = 65504.0
 _F32_MAX = float(np.finfo(np.float32).max)
 # a binary32 quotient this close to an integer rounds as the float64 one does
 _SAFE_DISTANCE = np.float32(0.5 - 2.0 ** -12)
-
-@dataclass(frozen=True)
-class QuantizedTensor:
-    """Shape, element width, scale/zero point, and the raw payload bytes."""
-
-    shape: Shape
-    width: int
-    scale: float
-    zero_point: int
-    payload: bytes
-    saturated: bool = False
-
-    def __post_init__(self):
-        if self.width not in (8, 16, 32):
-            raise CodecError(f"unsupported element width {self.width}")
-        expected = self.shape.numel * (self.width // 8)
-        if len(self.payload) != expected:
-            raise CodecError(
-                f"payload length {len(self.payload)} != expected {expected} "
-                f"for shape {self.shape} at width {self.width}"
-            )
-        scale = float(np.float32(self.scale)) if np.isfinite(self.scale) else self.scale
-        if self.width == 8 and not (np.isfinite(scale) and scale > 0):
-            raise CodecError(f"width-8 scale must be finite and > 0, got {scale}")
-        if not 0 <= self.zero_point <= 255:
-            raise CodecError(f"zero_point must be in [0, 255], got {self.zero_point}")
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def numel(self) -> int:
-        return self.shape.numel
 
 
 def _finite_range(t: Tensor) -> tuple[float, float]:
@@ -76,7 +40,7 @@ def _finite_range(t: Tensor) -> tuple[float, float]:
     return m, big
 
 
-def quantize8(t: Tensor) -> QuantizedTensor:
+def quantize8(t: Tensor) -> WireMessage:
     """8-bit affine quantization over the value range widened to include 0.
 
     The zero point lets asymmetric (post-ReLU style) value ranges use all 256
@@ -138,10 +102,10 @@ def quantize8(t: Tensor) -> QuantizedTensor:
     k[redo] = np.rint(x[redo].astype(np.float64) / scale)
     k += zero_point
     payload = k.astype(np.uint8).tobytes()
-    return QuantizedTensor(t.shape, 8, scale, zero_point, payload)
+    return WireMessage(MsgType.QTENSOR8, t.shape.dims, scale, zero_point, payload)
 
 
-def _quantize8_constant(t: Tensor, c: float) -> QuantizedTensor:
+def _quantize8_constant(t: Tensor, c: float) -> WireMessage:
     # Exact round trip: dequantize gives scale * (q - zero_point) == c.
     if c == 0.0:
         scale, zp, level = 1.0, 0, 0
@@ -150,31 +114,25 @@ def _quantize8_constant(t: Tensor, c: float) -> QuantizedTensor:
     else:
         scale, zp, level = -c, 1, 0
     payload = bytes([level]) * t.numel
-    return QuantizedTensor(t.shape, 8, scale, zp, payload)
+    return WireMessage(MsgType.QTENSOR8, t.shape.dims, scale, zp, payload)
 
 
-def quantize16(t: Tensor) -> QuantizedTensor:
+def quantize16(t: Tensor) -> WireMessage:
     """Cast to binary16 (round-to-nearest-even), little-endian payload.
 
-    Values outside the binary16 range are clamped to +/-65504 and the result
-    is flagged as saturated rather than rejected.
+    Values outside the binary16 range are clamped to +/-65504 rather than
+    rejected.
     """
     m, big = _finite_range(t)
-    saturated = m < -BINARY16_MAX or big > BINARY16_MAX
     x = t.data
-    if saturated:
+    if m < -BINARY16_MAX or big > BINARY16_MAX:
         x = np.clip(x, -BINARY16_MAX, BINARY16_MAX)
     payload = x.astype("<f2").tobytes()
-    return QuantizedTensor(t.shape, 16, 1.0, 0, payload, saturated=saturated)
+    return WireMessage(MsgType.QTENSOR16, t.shape.dims, 1.0, 0, payload)
 
 
-def passthrough32(t: Tensor) -> QuantizedTensor:
-    """Identity passthrough: raw little-endian float32 payload."""
-    return QuantizedTensor(t.shape, 32, 1.0, 0, t.data.astype("<f4", copy=False).tobytes())
-
-
-def dequantize(q: QuantizedTensor) -> Tensor:
-    """Invert quantize8/quantize16/passthrough32.
+def dequantize(m: WireMessage) -> Tensor:
+    """Invert quantize8, quantize16 and ``wire.tensor_to_message``.
 
     Width 8 is ``float32(level - zero_point) * float32(scale)`` in float32
     arithmetic, bit-identical to rounding the float64 product ``scale *
@@ -184,29 +142,33 @@ def dequantize(q: QuantizedTensor) -> Tensor:
     float64. Both paths therefore round the same exact value once, to
     nearest-even, including overflow to Inf and subnormal results.
 
-    Raises CodecError when a dequantized value is NaN or infinite. The
-    returned tensor owns a freshly allocated array; it shares no memory with
-    ``q.payload``.
+    Widths 16 and 32 ignore the scale and zero point. Raises CodecError for a
+    message type with no tensor, a width-8 scale <= 0 or zero point outside
+    [0, 255], or a NaN or infinite result. The returned tensor owns a freshly
+    allocated array; it shares no memory with ``m.payload``.
     """
-    expected = q.numel * (q.width // 8)
-    if len(q.payload) != expected:
-        raise CodecError(
-            f"corrupt payload: {len(q.payload)} bytes, expected {expected}"
-        )
-    if q.width == 8:
-        levels = np.frombuffer(q.payload, dtype=np.uint8)
-        scale = np.float32(q.scale)
+    width = ELEMENT_BITS.get(m.msg_type)
+    if width is None:
+        raise CodecError(f"{m.msg_type.name} does not carry a tensor")
+    if width == 8:
+        # the message has already rounded the scale to a finite binary32 value
+        if not m.scale > 0:
+            raise CodecError(f"width-8 scale must be finite and > 0, got {m.scale}")
+        if not 0 <= m.zero_point <= 255:
+            raise CodecError(f"zero_point must be in [0, 255], got {m.zero_point}")
+        levels = np.frombuffer(m.payload, dtype=np.uint8)
+        scale = np.float32(m.scale)
         # Rounding is monotone, so when the product at the level farthest
         # from the zero point is finite, every product is; only then may the
         # payload's own values go unchecked.
         with np.errstate(over="ignore"):
-            vals = np.subtract(levels, np.float32(q.zero_point), dtype=np.float32)
+            vals = np.subtract(levels, np.float32(m.zero_point), dtype=np.float32)
             vals *= scale
-            finite = (np.isfinite(scale * np.float32(max(q.zero_point, 255 - q.zero_point)))
+            finite = (np.isfinite(scale * np.float32(max(m.zero_point, 255 - m.zero_point)))
                       or np.isfinite(vals).all())
     else:
-        vals = np.frombuffer(q.payload, dtype=f"<f{q.width // 8}").astype(np.float32)
+        vals = np.frombuffer(m.payload, dtype=f"<f{width // 8}").astype(np.float32)
         finite = np.isfinite(vals).all()
     if not finite:
-        raise CodecError(f"width-{q.width} payload dequantizes to NaN or Inf")
-    return Tensor._adopt(q.shape, vals)
+        raise CodecError(f"width-{width} payload dequantizes to NaN or Inf")
+    return Tensor._adopt(Shape(m.dims), vals)

@@ -29,7 +29,6 @@ from .wire import (
     detection_result_message,
     empty_result_message,
     encode_message,
-    message_to_quantized,
     tensor_digest,
 )
 
@@ -143,6 +142,8 @@ class PipelineServer:
                 with self._lock:
                     self._live.remove(conn)
                     self._handlers.remove(handler)
+                    self.stats.append(ConnectionStats(
+                        peer, closed_reason=f"no handler thread: {exc}"))
                 conn.close()
 
     def _handle(self, conn: socket.socket, peer) -> None:
@@ -184,7 +185,7 @@ class PipelineServer:
             return detection_result_message(hashlib.sha256(msg.payload).digest())
         if msg.msg_type in (MsgType.DETECTION_RESULT, MsgType.EMPTY_RESULT):
             return empty_result_message()
-        tensor = dequantize(message_to_quantized(msg))
+        tensor = dequantize(msg)
         stats.tail_seconds += 0.0 if prof is None else prof.t_tail
         return detection_result_message(tensor_digest(tensor))
 

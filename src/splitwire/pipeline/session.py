@@ -34,13 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import QuantizedTensor, dequantize, quantize8, quantize16, passthrough32
+from ..codec import dequantize, quantize8, quantize16
 from ..errors import ArgumentError, ProtocolError, TransportError
 from ..latency import ChannelModel, ExecutionProfile, transfer_time
 from ..tensor import Shape, Tensor, random_fill
 from .filtergate import FilterModel
-from .wire import (MsgType, WireMessage, decode_message, encode_message,
-                   quantized_to_message, recv_frame, tensor_digest, wire_header_bytes)
+from .wire import (MsgType, WireMessage, decode_message, encode_message, recv_frame,
+                   tensor_digest, tensor_to_message, wire_header_bytes)
 
 __all__ = [
     "ImageRecord",
@@ -165,12 +165,12 @@ def read_frame(sock: socket.socket) -> WireMessage | None:
     return None if frame is None else decode_message(frame)
 
 
-def _quantize_for_width(t: Tensor, width: int):
+def _quantize_for_width(t: Tensor, width: int) -> WireMessage:
     if width == 8:
         return quantize8(t)
     if width == 16:
         return quantize16(t)
-    return passthrough32(t)
+    return tensor_to_message(t)
 
 
 def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
@@ -215,7 +215,7 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
                 uplink = transfer_time(size, ch)
             else:
                 q = _quantize_for_width(img, width)
-                frame = encode_message(quantized_to_message(q))
+                frame = encode_message(q)
                 size = len(frame)
                 uplink = _socket_round_trip(sock, bucket, frame, q, i)
             records.append(ImageRecord(i, False, size,
@@ -226,7 +226,7 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
     return SessionLog(mode, records)
 
 
-def _socket_round_trip(sock, bucket, frame: bytes, q: QuantizedTensor,
+def _socket_round_trip(sock, bucket, frame: bytes, q: WireMessage,
                        index: int) -> float:
     expected = None
 

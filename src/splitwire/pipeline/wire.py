@@ -23,6 +23,10 @@ as soon as the 7-byte prefix is in, with the same check decode_message
 uses, and asks the socket for at most 1 MiB per recv, so the memory a
 frame takes grows only with the bytes that really arrived.
 
+WireMessage is the one record of a tensor on the wire, as the codec's
+quantizers return it: it owns the payload-length rule and the scale's
+binary32 rounding. ELEMENT_BITS is each tensor type's element width.
+
 tensor_digest (SHA-256 of the float32 values) is what the tail replies
 with and what the head checks. wire_header_bytes and data_size count a
 quantized tensor's bytes as framed here.
@@ -31,6 +35,7 @@ quantized tensor's bytes as framed here.
 from __future__ import annotations
 
 import hashlib
+import math
 import socket
 import struct
 from dataclasses import dataclass
@@ -38,15 +43,15 @@ from enum import IntEnum
 
 import numpy as np
 
-from ..codec import QuantizedTensor, dequantize, passthrough32
-from ..errors import CodecError, ProtocolError, RangeError, TransportError
-from ..tensor import Shape, Tensor
+from ..errors import ProtocolError, RangeError, TransportError
+from ..tensor import Tensor
 
 __all__ = [
     "MAGIC",
     "VERSION",
     "MAX_NDIM",
     "MsgType",
+    "ELEMENT_BITS",
     "WireMessage",
     "SizeReport",
     "wire_header_bytes",
@@ -56,9 +61,6 @@ __all__ = [
     "recv_frame",
     "tensor_digest",
     "tensor_to_message",
-    "message_to_tensor",
-    "quantized_to_message",
-    "message_to_quantized",
     "detection_result_message",
     "empty_result_message",
     "save_message",
@@ -88,9 +90,9 @@ class MsgType(IntEnum):
     EMPTY_RESULT = 5
 
 
-# element width in bits of each tensor type; every other type is dimless
-_WIDTH = {MsgType.QTENSOR8: 8, MsgType.QTENSOR16: 16, MsgType.FTENSOR32: 32}
-_TYPE = {w: mt for mt, w in _WIDTH.items()}
+# element width in bits of each tensor type; every other type is dimless.
+# Only width 8 is affine: the other tensor types carry scale 1 and zero point 0
+ELEMENT_BITS = {MsgType.QTENSOR8: 8, MsgType.QTENSOR16: 16, MsgType.FTENSOR32: 32}
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,10 @@ class WireMessage:
             raise ProtocolError(f"ndim {len(dims)} exceeds maximum {MAX_NDIM}")
         if any(d < 1 or d > 0xFFFFFFFF for d in dims):
             raise ProtocolError(f"dims must be in [1, 2^32), got {dims}")
-        scale = float(np.float32(self.scale)) if np.isfinite(self.scale) else self.scale
-        if not np.isfinite(scale):
+        # a finite scale beyond binary32 rounds to inf: an error, not a warning
+        with np.errstate(over="ignore"):
+            scale = float(np.float32(self.scale))
+        if not math.isfinite(scale):
             raise ProtocolError("scale must be finite (as a binary32 value)")
         object.__setattr__(self, "scale", scale)
         if not -(2 ** 31) <= self.zero_point < 2 ** 31:
@@ -123,10 +127,10 @@ class WireMessage:
         n = 1
         for d in dims:
             n *= d
-        if mt in _WIDTH:
+        if mt in ELEMENT_BITS:
             if not dims:
                 raise ProtocolError(f"{mt.name} needs at least one dim")
-            expected = n * (_WIDTH[mt] // 8)
+            expected = n * (ELEMENT_BITS[mt] // 8)
             if len(self.payload) != expected:
                 raise ProtocolError(
                     f"{mt.name} payload is {len(self.payload)} bytes, "
@@ -152,11 +156,11 @@ class SizeReport:
     ratio_vs_reference: float
 
 
-def data_size(q: QuantizedTensor, reference_bytes: int | None = None) -> SizeReport:
+def data_size(m: WireMessage, reference_bytes: int | None = None) -> SizeReport:
     """Byte totals including the frame header; ratio is vs ``reference_bytes``
     when given (1.0 otherwise)."""
-    payload = len(q.payload)
-    header = wire_header_bytes(q.shape.rank)
+    payload = len(m.payload)
+    header = m.header_bytes
     total = payload + header
     if reference_bytes is None:
         ratio = 1.0
@@ -243,30 +247,9 @@ def tensor_digest(t: Tensor) -> bytes:
     return hashlib.sha256(t.data.astype("<f4", copy=False)).digest()
 
 
-# --- tensor conversions ------------------------------------------------------
-
 def tensor_to_message(t: Tensor) -> WireMessage:
-    return quantized_to_message(passthrough32(t))
-
-
-def message_to_tensor(m: WireMessage) -> Tensor:
-    if m.msg_type is not MsgType.FTENSOR32:
-        raise CodecError(f"expected FTENSOR32, got {m.msg_type.name}")
-    return dequantize(message_to_quantized(m))
-
-
-def quantized_to_message(q: QuantizedTensor) -> WireMessage:
-    affine = q.width == 8
-    return WireMessage(_TYPE[q.width], q.shape.dims, q.scale if affine else 1.0,
-                       q.zero_point if affine else 0, q.payload)
-
-
-def message_to_quantized(m: WireMessage) -> QuantizedTensor:
-    if m.msg_type not in _WIDTH:
-        raise CodecError(f"{m.msg_type.name} does not carry a tensor")
-    width = _WIDTH[m.msg_type]
-    return QuantizedTensor(Shape(m.dims), width, m.scale if width == 8 else 1.0,
-                           m.zero_point if width == 8 else 0, m.payload)
+    return WireMessage(MsgType.FTENSOR32, t.shape.dims, 1.0, 0,
+                       t.data.astype("<f4", copy=False).tobytes())
 
 
 def detection_result_message(digest: bytes) -> WireMessage:

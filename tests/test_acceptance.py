@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from splitwire.codec import dequantize, passthrough32, quantize8, quantize16
+from splitwire.codec import dequantize, quantize8, quantize16
 from splitwire.config import load_reference_config
 from splitwire.distill import (
     ToyHead,
@@ -37,6 +37,7 @@ from splitwire.pipeline.wire import (
     data_size,
     decode_message,
     encode_message,
+    tensor_to_message,
 )
 from splitwire.tensor import Shape, Tensor, random_fill
 from test_distill import plan_gradients
@@ -62,7 +63,7 @@ def test_c01_table_size_ratio_algebra():
         start = time.monotonic()
         tr = trace(get_builtin_spec("student_l1"), IMAGE)
         t = random_fill(tr.bottleneck_shape, seed=101, lo=-1.0, hi=1.0)
-        q8, q16, q32 = quantize8(t), quantize16(t), passthrough32(t)
+        q8, q16, q32 = quantize8(t), quantize16(t), tensor_to_message(t)
         reference = round(data_size(q32).total_bytes / 2.56)
 
         assert data_size(q8).header_bytes <= 64

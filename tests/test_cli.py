@@ -7,7 +7,6 @@ import select
 import signal
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 from splitwire import cli
 from splitwire.cli import MAX_RATES, MAX_SAMPLES, _parse_rates_mbps, main
-from splitwire.codec import quantize8
+from splitwire.codec import dequantize, quantize8
 from splitwire.config import (config_from_dict, load_config, load_reference_config,
                               reference_config_path)
 from splitwire.errors import ArgumentError
@@ -28,7 +27,6 @@ from splitwire.pipeline.wire import (
     MsgType,
     WireMessage,
     load_message,
-    message_to_tensor,
     save_message,
     tensor_to_message,
     wire_header_bytes,
@@ -191,8 +189,8 @@ def test_codec_quantize_then_dequantize_bounds_error(tmp_path, tensor_file, caps
     assert "max_roundtrip_error" in printed
     assert run(["codec", "dequantize", "--in", str(q8), "--out", str(back)]) == 0
 
-    orig = message_to_tensor(load_message(tensor_file))
-    restored = message_to_tensor(load_message(str(back)))
+    orig = dequantize(load_message(tensor_file))
+    restored = dequantize(load_message(str(back)))
     scale = quantize8(orig).scale
     err = max(abs(a - b) for a, b in zip(orig.data.tolist(), restored.data.tolist()))
     assert err <= scale / 2 + 1e-6
@@ -212,6 +210,14 @@ def test_codec_dequantize_jpeg_typed_file_exits_3(tmp_path):
     save_message(str(jpeg), WireMessage(MsgType.JPEG_IMAGE, payload=b"stub"))
     assert run(["codec", "dequantize", "--in", str(jpeg),
                 "--out", str(tmp_path / "out.bin")]) == 3
+
+
+def test_codec_quantize_of_a_quantized_file_exits_3(tmp_path, tensor_file, capsys):
+    q8 = str(tmp_path / "q8.bin")
+    assert run(["codec", "quantize", "--in", tensor_file, "--out", q8]) == 0
+    capsys.readouterr()
+    assert run(["codec", "quantize", "--in", q8, "--out", str(tmp_path / "qq.bin")]) == 3
+    assert capsys.readouterr().err == "error: expected FTENSOR32, got QTENSOR8\n"
 
 
 @pytest.mark.parametrize("width", ["8", "16"])
@@ -745,44 +751,14 @@ def test_serve_bind_conflict_exits_4(ref_path):
                     "--addr", f"{host}:{port}"]) == 4
 
 
-def test_serve_then_client_over_cli(tmp_path, ref_path):
-    # spin the blocking serve loop in a thread against an OS-assigned port
-    probe = PipelineServer()
-    probe.start()
-    host, port = probe.address
-    probe.stop()
-
-    thread = threading.Thread(
-        target=run,
-        args=(["serve", "--config", ref_path, "--addr", f"{host}:{port}",
-               "--idle-timeout", "1.0"],),
-        daemon=True,
-    )
-    thread.start()
-    import time
-
-    out = tmp_path / "cli_session.csv"
-    deadline = time.monotonic() + 5.0
-    rc = None
-    while time.monotonic() < deadline:
-        rc = run(["client", "--config", ref_path, "--addr", f"{host}:{port}",
-                  "--n", "5", "--shape", "3x4x4", "--seed", "3",
-                  "--out", str(out)])
-        if rc == 0:
-            break
-        time.sleep(0.1)
-    assert rc == 0
-    assert len(out.read_text().strip().splitlines()) == 6
-
-
 def test_serve_prints_its_address_and_stops_on_sigint(tmp_path, ref_path):
     # with port 0 the printed line is the only way to learn the bound port
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     with subprocess.Popen([sys.executable, "-m", "splitwire.cli", "serve", "--config", ref_path,
-                           "--addr", "127.0.0.1:0"], stdout=subprocess.PIPE, text=True,
-                          env=env) as proc:
+                           "--addr", "127.0.0.1:0", "--idle-timeout", "1.0"],
+                          stdout=subprocess.PIPE, text=True, env=env) as proc:
         try:
             ready, _, _ = select.select([proc.stdout], [], [], 10.0)
             assert ready, "serve printed nothing"

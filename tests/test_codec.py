@@ -9,20 +9,16 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import splitwire.codec
-from splitwire.codec import (
-    BINARY16_MAX,
-    QuantizedTensor,
-    dequantize,
-    passthrough32,
-    quantize8,
-    quantize16,
-)
-from splitwire.errors import CodecError, RangeError
+from splitwire.codec import BINARY16_MAX, dequantize, quantize8, quantize16
+from splitwire.errors import CodecError, ProtocolError, RangeError
 from splitwire.pipeline.wire import (
+    ELEMENT_BITS,
     MsgType,
     WireMessage,
     data_size,
-    message_to_quantized,
+    decode_message,
+    encode_message,
+    tensor_to_message,
     wire_header_bytes,
 )
 from splitwire.tensor import Shape, Tensor, random_fill
@@ -292,7 +288,7 @@ def test_quantize8_redoes_only_near_ties_in_float64(values, redone):
 def test_quantize16_exact_for_representable_values():
     t = f32([3], [1.0, 0.5, -2.0])
     q = quantize16(t)
-    assert not q.saturated
+    assert q.payload == t.data.astype("<f2").tobytes()
     assert same(dequantize(q), t)
 
 
@@ -320,10 +316,10 @@ def test_quantize16_edge_bits_match_numpy():
         assert numpy_half_bits(x) == ref_float_to_half_bits(float(np.float32(x)))
 
 
-def test_quantize16_saturates_with_flag():
+def test_quantize16_saturates_to_binary16_max():
     t = f32([2], [1e6, -1e6])
     q = quantize16(t)
-    assert q.saturated
+    assert q.payload == np.array([BINARY16_MAX, -BINARY16_MAX], dtype="<f2").tobytes()
     out = dequantize(q).data.tolist()
     assert out == [BINARY16_MAX, -BINARY16_MAX]
 
@@ -333,7 +329,9 @@ def test_quantize16_saturates_with_flag():
 def test_quantize16_saturated_exactly_when_a_value_leaves_binary16(lo, hi):
     t = random_fill(Shape([64]), seed=25, lo=lo, hi=hi)
     t = f32([66], [*t.data.tolist(), lo, np.nextafter(np.float32(hi), np.float32(lo))])
-    assert quantize16(t).saturated == bool(np.any(np.abs(t.data) > BINARY16_MAX))
+    # the values beyond binary16 are clamped, not cast to Inf
+    clamped = np.clip(t.data, -BINARY16_MAX, BINARY16_MAX)
+    assert quantize16(t).payload == clamped.astype("<f2").tobytes()
 
 
 @pytest.mark.parametrize("quantize", [quantize8, quantize16])
@@ -351,21 +349,17 @@ def test_quantizers_reject_non_finite_values(quantize, bad):
 
 def test_width32_passthrough_bit_identical():
     t = random_fill(Shape([100]), seed=21, lo=-5.0, hi=5.0)
-    q = passthrough32(t)
+    q = tensor_to_message(t)
     back = dequantize(q)
     assert same(back, t)
     assert back.data.tobytes() == t.data.tobytes()
 
 
-def test_truncated_payload_raises_codec_error():
-    t = random_fill(Shape([16]), seed=22, lo=-1.0, hi=1.0)
-    q = quantize8(t)
-    with pytest.raises(CodecError):
+def test_truncated_payload_raises_protocol_error():
+    # the message is the one owner of the payload-length rule
+    q = quantize8(random_fill(Shape([16]), seed=22, lo=-1.0, hi=1.0))
+    with pytest.raises(ProtocolError, match="payload is"):
         dataclasses.replace(q, payload=q.payload[:-1])
-    # dequantize revalidates even if the frozen instance was force-mutated
-    object.__setattr__(q, "payload", q.payload[:-1])
-    with pytest.raises(CodecError):
-        dequantize(q)
 
 
 _FLT_MAX = float(np.finfo(np.float32).max)
@@ -383,8 +377,8 @@ _FLT_MAX = float(np.finfo(np.float32).max)
 ])
 def test_width8_dequantize_bits_match_float64_formula(scale, zero_point):
     levels = np.random.default_rng(23).permutation(np.tile(np.arange(256), 2))
-    q = QuantizedTensor(Shape([levels.size]), 8, scale, zero_point,
-                        levels.astype(np.uint8).tobytes())
+    q = WireMessage(MsgType.QTENSOR8, (levels.size,), scale, zero_point,
+                    levels.astype(np.uint8).tobytes())
     # one rounding to float32 of the float64 product, element by element
     ref = np.array([np.float32(scale * (int(v) - zero_point)) for v in levels])
     got = dequantize(q).data
@@ -404,7 +398,7 @@ def test_width8_large_constant_dequantizes_without_warning():
     (MsgType.FTENSOR32, 1.0, np.array([np.inf], dtype="<f4").tobytes()),
 ], ids=["qtensor8_overflow", "qtensor16_nan", "ftensor32_inf"])
 def test_dequantize_rejects_non_finite_values(msg_type, scale, payload):
-    q = message_to_quantized(WireMessage(msg_type, (1,), scale, 0, payload))
+    q = WireMessage(msg_type, (1,), scale, 0, payload)
     # the error is the only signal: no floating-point warning leaks
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -412,7 +406,68 @@ def test_dequantize_rejects_non_finite_values(msg_type, scale, payload):
             dequantize(q)
 
 
-@pytest.mark.parametrize("quantize", [quantize8, quantize16, passthrough32])
+@pytest.mark.parametrize("scale, zero_point, match", [
+    (0.0, 0, "scale must be finite and > 0"),
+    (-1.0, 0, "scale must be finite and > 0"),
+    (1.0, -1, r"zero_point must be in \[0, 255\]"),
+    (1.0, 256, r"zero_point must be in \[0, 255\]"),
+], ids=["zero-scale", "negative-scale", "zero-point-below-0", "zero-point-above-255"])
+def test_dequantize_rejects_a_bad_width8_scale_or_zero_point(scale, zero_point, match):
+    with pytest.raises(CodecError, match=match):
+        dequantize(WireMessage(MsgType.QTENSOR8, (2,), scale, zero_point, b"\x00\x01"))
+
+
+@pytest.mark.parametrize("msg_type", [MsgType.QTENSOR16, MsgType.FTENSOR32],
+                         ids=["qtensor16", "ftensor32"])
+def test_dequantize_ignores_scale_and_zero_point_above_width8(msg_type):
+    payload = np.array([1.5, -2.0], dtype=f"<f{ELEMENT_BITS[msg_type] // 8}").tobytes()
+    for scale, zero_point in ((1.0, 0), (-3.0, -7), (0.0, 300)):
+        got = dequantize(WireMessage(msg_type, (2,), scale, zero_point, payload))
+        assert got.data.tolist() == [1.5, -2.0]
+
+
+def _messages():
+    """Any message of any type: rank <= 3 and extents <= 4 for a tensor, any
+    finite binary32 scale, any int32 zero point, a payload of the right length."""
+    finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    # any int32, with the valid width-8 zero points drawn as often as the rest
+    int32 = st.integers(0, 255) | st.integers(-(2 ** 31), 2 ** 31 - 1)
+
+    def build(msg_type):
+        if msg_type in ELEMENT_BITS:
+            dims = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+        else:
+            dims = st.just(())
+        return dims.flatmap(lambda d: st.builds(
+            WireMessage, st.just(msg_type), st.just(d), finite32, int32,
+            payload_of(msg_type, d)))
+
+    def payload_of(msg_type, dims):
+        if msg_type is MsgType.EMPTY_RESULT:
+            return st.just(b"")
+        if msg_type not in ELEMENT_BITS:
+            return st.binary(max_size=32)
+        n = math.prod(dims) * ELEMENT_BITS[msg_type] // 8
+        return st.binary(min_size=n, max_size=n)
+
+    return st.sampled_from(MsgType).flatmap(build)
+
+
+@given(_messages())
+def test_dequantize_is_total_over_wire_messages(m):
+    m = decode_message(encode_message(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            t = dequantize(m)
+        except CodecError:
+            return
+    assert t.data.dtype == np.float32 and not t.data.flags.writeable
+    assert t.numel == math.prod(m.dims)
+    assert np.isfinite(t.data).all()
+
+
+@pytest.mark.parametrize("quantize", [quantize8, quantize16, tensor_to_message])
 def test_dequantized_tensor_is_read_only_and_owns_its_array(quantize):
     q = quantize(random_fill(Shape([3, 5]), seed=24, lo=-1.0, hi=1.0))
     data = dequantize(q).data
@@ -431,13 +486,13 @@ def test_header_bytes_budget():
 def test_payload_ratio_width8_vs_width32_is_quarter():
     t = random_fill(Shape([1000]), seed=30, lo=-1.0, hi=1.0)
     r8 = data_size(quantize8(t))
-    r32 = data_size(passthrough32(t))
+    r32 = data_size(tensor_to_message(t))
     assert r8.payload_bytes / r32.payload_bytes == 0.25
 
 
 def test_size_report_algebra():
     t = random_fill(Shape([3, 9, 11]), seed=31, lo=-1.0, hi=1.0)
-    for q in (quantize8(t), quantize16(t), passthrough32(t)):
+    for q in (quantize8(t), quantize16(t), tensor_to_message(t)):
         rep = data_size(q)
         assert rep.total_bytes == rep.payload_bytes + rep.header_bytes
 
@@ -445,7 +500,7 @@ def test_size_report_algebra():
 def test_size_totals_increase_with_width():
     t = random_fill(Shape([65]), seed=32, lo=-1.0, hi=1.0)
     totals = [data_size(q).total_bytes
-              for q in (quantize8(t), quantize16(t), passthrough32(t))]
+              for q in (quantize8(t), quantize16(t), tensor_to_message(t))]
     assert totals[0] < totals[1] < totals[2]
 
 

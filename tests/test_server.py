@@ -20,7 +20,6 @@ from splitwire.pipeline.wire import (
     WireMessage,
     empty_result_message,
     encode_message,
-    quantized_to_message,
     tensor_digest,
 )
 
@@ -51,7 +50,7 @@ def test_server_replies_with_digest_of_dequantized_tensor():
     q = quantize8(t)
     with PipelineServer(prof=PROF) as srv:
         with socket.create_connection(srv.address, timeout=5.0) as sock:
-            sock.sendall(encode_message(quantized_to_message(q)))
+            sock.sendall(encode_message(q))
             reply = read_frame(sock)
     assert reply.msg_type is MsgType.DETECTION_RESULT
     assert reply.payload == tensor_digest(dequantize(q))
@@ -146,7 +145,7 @@ def test_stop_closes_live_connections_and_joins_handlers():
 
 def test_stop_during_traffic_leaves_no_live_handlers():
     img = make_stream(1, [3, 4, 4], 0.0, seed=5)[0][0]
-    frame = encode_message(quantized_to_message(quantize8(img)))
+    frame = encode_message(quantize8(img))
     before = set(threading.enumerate())
     srv = PipelineServer(prof=PROF).start()
 
@@ -245,6 +244,9 @@ def test_handler_that_cannot_start_costs_one_connection(monkeypatch):
         srv.stop()
     assert srv._live == set()
     assert [t for t in threading.enumerate() if t not in before] == []
+    # the lost connection is in the stats, beside the session's own
+    assert [s.closed_reason for s in srv.stats] == [
+        "no handler thread: can't start new thread", "eof_or_idle"]
 
 
 def test_bind_failure_raises_transport_error():

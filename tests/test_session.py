@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from splitwire.codec import passthrough32, quantize8, quantize16
+from splitwire.codec import quantize8, quantize16
 from splitwire.errors import ArgumentError, CodecError, ProtocolError, TransportError
 from splitwire.latency import (ChannelModel, ExecutionProfile, PayloadSizes, total_delay,
                                transfer_time)
@@ -15,7 +15,7 @@ from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
 from splitwire.pipeline.wire import (MAGIC, detection_result_message, encode_message,
-                                    quantized_to_message, wire_header_bytes)
+                                    tensor_to_message, wire_header_bytes)
 from splitwire.tensor import Shape, Tensor, random_fill
 
 PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
@@ -103,10 +103,10 @@ def test_simulated_bytes_are_the_real_frame_size(width):
               for k, dims in enumerate(shapes)]
     images.append((Tensor(Shape([2, 3]), np.full(6, 0.25, dtype=np.float32)), False))
     log = run_session(images, PROF, CH, SHARP_FM, mode="simulated", seed=17, width=width)
-    quantize = {8: quantize8, 16: quantize16, 32: passthrough32}[width]
+    quantize = {8: quantize8, 16: quantize16, 32: tensor_to_message}[width]
     for (img, _), r in zip(images, log.records):
         assert not r.filtered
-        assert r.bytes_sent == len(encode_message(quantized_to_message(quantize(img))))
+        assert r.bytes_sent == len(encode_message(quantize(img)))
         assert r.t_uplink == transfer_time(r.bytes_sent, CH)
 
 

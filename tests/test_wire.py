@@ -1,11 +1,12 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitwire.codec import quantize8, quantize16
+from splitwire.codec import dequantize, quantize8, quantize16
 from splitwire.errors import CodecError, ProtocolError, TransportError
 from splitwire.pipeline.wire import (
     MAGIC,
@@ -17,9 +18,6 @@ from splitwire.pipeline.wire import (
     empty_result_message,
     encode_message,
     load_message,
-    message_to_quantized,
-    message_to_tensor,
-    quantized_to_message,
     recv_frame,
     save_message,
     tensor_to_message,
@@ -30,7 +28,7 @@ from splitwire.tensor import Shape, random_fill
 
 def qmsg(shape, seed=0):
     t = random_fill(Shape(shape), seed, -1.0, 1.0)
-    return quantized_to_message(quantize8(t))
+    return quantize8(t)
 
 
 def test_roundtrip_qtensor8_is_bit_exact():
@@ -119,6 +117,21 @@ def test_non_finite_scale_rejected():
         WireMessage(MsgType.QTENSOR8, (1,), float("nan"), 0, b"\x00")
 
 
+@pytest.mark.parametrize("scale", [3.5e38, 1e39, -1e39, float("inf")])
+def test_scale_beyond_binary32_is_a_protocol_error_not_a_warning(scale):
+    # the cast to binary32 overflows to inf; no RuntimeWarning escapes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProtocolError, match="scale must be finite"):
+            WireMessage(MsgType.QTENSOR8, (1,), scale, 0, b"\x01")
+
+
+def test_scale_is_rounded_to_binary32_once():
+    m = WireMessage(MsgType.QTENSOR8, (1,), 0.1, 0, b"\x01")
+    assert m.scale == float(np.float32(0.1)) != 0.1
+    assert decode_message(encode_message(m)) == m
+
+
 def test_tensor_payload_length_checked():
     with pytest.raises(ProtocolError):
         WireMessage(MsgType.QTENSOR16, (4,), 1.0, 0, b"\x00" * 7)
@@ -134,7 +147,7 @@ def test_empty_result_must_be_empty():
 def test_float_tensor_roundtrip():
     t = random_fill(Shape([5, 7]), 3, -10.0, 10.0)
     m = tensor_to_message(t)
-    back = message_to_tensor(decode_message(encode_message(m)))
+    back = dequantize(decode_message(encode_message(m)))
     assert back.shape == t.shape
     assert back.data.tobytes() == t.data.tobytes()
 
@@ -142,19 +155,16 @@ def test_float_tensor_roundtrip():
 def test_quantized_roundtrip_via_message():
     t = random_fill(Shape([6, 6]), 4, -2.0, 2.0)
     for q in (quantize8(t), quantize16(t)):
-        m = quantized_to_message(q)
-        back = message_to_quantized(decode_message(encode_message(m)))
-        assert back.width == q.width
-        assert back.payload == q.payload
-        assert back.scale == q.scale
-        assert back.zero_point == q.zero_point
+        back = decode_message(encode_message(q))
+        assert back == q
+        assert dequantize(back).data.tobytes() == dequantize(q).data.tobytes()
 
 
-def test_message_to_quantized_rejects_non_tensor_types():
-    with pytest.raises(CodecError):
-        message_to_quantized(WireMessage(MsgType.JPEG_IMAGE, payload=b"jpegbytes"))
-    with pytest.raises(CodecError):
-        message_to_tensor(qmsg([4]))
+def test_dequantize_rejects_non_tensor_types():
+    for m in (WireMessage(MsgType.JPEG_IMAGE, payload=b"jpegbytes"),
+              detection_result_message(b"\x01" * 32), empty_result_message()):
+        with pytest.raises(CodecError, match="does not carry a tensor"):
+            dequantize(m)
 
 
 class _Dribble:
