@@ -29,7 +29,7 @@ from .pipeline import wire
 from .pipeline.filtergate import gate_metrics
 from .pipeline.server import serve
 from .pipeline.session import make_stream, run_session, stream_labels
-from .tensor import Shape, Tensor
+from .tensor import Shape
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
 
 
 def _max_abs_error(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| of two float32 arrays, each difference taken in float64."""
+    """max |a - b| of two flat float32 arrays, each difference taken in float64."""
     err = 0.0
     for i in range(0, a.size, _ERROR_BLOCK):
         block = slice(i, i + _ERROR_BLOCK)
@@ -152,7 +152,7 @@ def cmd_codec(args) -> int:
         q = codec.quantize8(tensor) if args.width == 8 else codec.quantize16(tensor)
         wire.save_message(args.out, q)
         report = wire.data_size(q, os.path.getsize(args.infile))
-        err = _max_abs_error(codec.dequantize(q).data, tensor.data)
+        err = _max_abs_error(codec.dequantize(q).reshape(-1), tensor.reshape(-1))
         print(f"payload_bytes: {report.payload_bytes}")
         print(f"header_bytes: {report.header_bytes}")
         print(f"total_bytes: {report.total_bytes}")
@@ -164,7 +164,7 @@ def cmd_codec(args) -> int:
         tensor = codec.dequantize(msg)
         wire.save_message(args.out, wire.tensor_to_message(tensor))
         width = wire.ELEMENT_BITS[msg.msg_type]
-        print(f"dequantized {width}-bit tensor {tensor.shape} to {args.out}")
+        print(f"dequantized {width}-bit tensor {Shape(tensor.shape)} to {args.out}")
     return EXIT_OK
 
 
@@ -239,7 +239,7 @@ def cmd_client(args) -> int:
     if args.mode == "simulated":
         # a simulated session reads only each image's shape and label, so
         # one zero-stride view of a single zero stands in for every image
-        blank = Tensor._adopt(shape, np.broadcast_to(np.float32(0), (shape.numel,)))
+        blank = np.broadcast_to(np.float32(0), shape.dims)
         images = [(blank, bool(empty))
                   for empty in stream_labels(args.n, cfg.filter.p_empty, seed)]
         addr = None

@@ -6,7 +6,8 @@ never exceeds scale/2 even for sign-definite tensors. Width 16 is a plain
 IEEE 754 binary16 cast with round-to-nearest-even; width 32 is the float32
 values as they are. Payload element order is row-major; 16- and 32-bit
 elements are stored little-endian. ``quantize8``, ``quantize16`` and
-``dequantize`` raise CodecError on a NaN or infinite value.
+``dequantize`` raise CodecError on a NaN or infinite value, and the
+quantizers raise ShapeError on anything but a tensor (``splitwire.tensor``).
 
 The quantizers return the ``WireMessage`` that goes on the wire, and
 ``dequantize`` takes one: ``splitwire.pipeline.wire`` owns that record, the
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import CodecError
 from .pipeline.wire import ELEMENT_BITS, MsgType, WireMessage
-from .tensor import Shape, Tensor
+from .tensor import Shape, check_tensor
 
 __all__ = ["quantize8", "quantize16", "dequantize"]
 
@@ -31,16 +32,17 @@ _F32_MAX = float(np.finfo(np.float32).max)
 _SAFE_DISTANCE = np.float32(0.5 - 2.0 ** -12)
 
 
-def _finite_range(t: Tensor) -> tuple[float, float]:
-    """The least and greatest value of ``t``; CodecError unless both are finite."""
-    m = float(t.data.min())
-    big = float(t.data.max())
+def _finite_range(t: np.ndarray) -> tuple[float, float]:
+    """The least and greatest value of tensor ``t``; ShapeError unless ``t`` is
+    a tensor, CodecError unless both values are finite."""
+    m = float(check_tensor(t).min())
+    big = float(t.max())
     if not (math.isfinite(m) and math.isfinite(big)):
-        raise CodecError(f"tensor {t.shape} holds NaN or Inf; only finite values quantize")
+        raise CodecError(f"tensor {Shape(t.shape)} holds NaN or Inf; only finite values quantize")
     return m, big
 
 
-def quantize8(t: Tensor) -> WireMessage:
+def quantize8(t: np.ndarray) -> WireMessage:
     """8-bit affine quantization over the value range widened to include 0.
 
     The zero point lets asymmetric (post-ReLU style) value ranges use all 256
@@ -92,7 +94,7 @@ def quantize8(t: Tensor) -> WireMessage:
         scale = float(np.nextafter(np.float32(scale), np.float32(np.inf)))
         zero_point = round(-lo / scale)
 
-    x = t.data
+    x = t.reshape(-1)
     inv = 1.0 / scale
     r = np.float32(inv) if inv <= _F32_MAX else np.float32(np.nan)
     y = x * r
@@ -102,10 +104,10 @@ def quantize8(t: Tensor) -> WireMessage:
     k[redo] = np.rint(x[redo].astype(np.float64) / scale)
     k += zero_point
     payload = k.astype(np.uint8).tobytes()
-    return WireMessage(MsgType.QTENSOR8, t.shape.dims, scale, zero_point, payload)
+    return WireMessage(MsgType.QTENSOR8, t.shape, scale, zero_point, payload)
 
 
-def _quantize8_constant(t: Tensor, c: float) -> WireMessage:
+def _quantize8_constant(t: np.ndarray, c: float) -> WireMessage:
     # Exact round trip: dequantize gives scale * (q - zero_point) == c.
     if c == 0.0:
         scale, zp, level = 1.0, 0, 0
@@ -113,25 +115,24 @@ def _quantize8_constant(t: Tensor, c: float) -> WireMessage:
         scale, zp, level = c, 0, 1
     else:
         scale, zp, level = -c, 1, 0
-    payload = bytes([level]) * t.numel
-    return WireMessage(MsgType.QTENSOR8, t.shape.dims, scale, zp, payload)
+    payload = bytes([level]) * t.size
+    return WireMessage(MsgType.QTENSOR8, t.shape, scale, zp, payload)
 
 
-def quantize16(t: Tensor) -> WireMessage:
+def quantize16(t: np.ndarray) -> WireMessage:
     """Cast to binary16 (round-to-nearest-even), little-endian payload.
 
     Values outside the binary16 range are clamped to +/-65504 rather than
     rejected.
     """
     m, big = _finite_range(t)
-    x = t.data
     if m < -BINARY16_MAX or big > BINARY16_MAX:
-        x = np.clip(x, -BINARY16_MAX, BINARY16_MAX)
-    payload = x.astype("<f2").tobytes()
-    return WireMessage(MsgType.QTENSOR16, t.shape.dims, 1.0, 0, payload)
+        t = np.clip(t, -BINARY16_MAX, BINARY16_MAX)
+    payload = t.astype("<f2").tobytes()
+    return WireMessage(MsgType.QTENSOR16, t.shape, 1.0, 0, payload)
 
 
-def dequantize(m: WireMessage) -> Tensor:
+def dequantize(m: WireMessage) -> np.ndarray:
     """Invert quantize8, quantize16 and ``wire.tensor_to_message``.
 
     Width 8 is ``float32(level - zero_point) * float32(scale)`` in float32
@@ -144,8 +145,9 @@ def dequantize(m: WireMessage) -> Tensor:
 
     Widths 16 and 32 ignore the scale and zero point. Raises CodecError for a
     message type with no tensor, a width-8 scale <= 0 or zero point outside
-    [0, 255], or a NaN or infinite result. The returned tensor owns a freshly
-    allocated array; it shares no memory with ``m.payload``.
+    [0, 255], or a NaN or infinite result. The returned tensor is a freshly
+    allocated read-only array of shape ``m.dims``; it shares no memory with
+    ``m.payload``.
     """
     width = ELEMENT_BITS.get(m.msg_type)
     if width is None:
@@ -171,4 +173,6 @@ def dequantize(m: WireMessage) -> Tensor:
         finite = np.isfinite(vals).all()
     if not finite:
         raise CodecError(f"width-{width} payload dequantizes to NaN or Inf")
-    return Tensor._adopt(Shape(m.dims), vals)
+    vals = vals.reshape(m.dims)
+    vals.setflags(write=False)
+    return vals

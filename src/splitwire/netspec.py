@@ -82,8 +82,9 @@ class LayerSpec:
             if not (self.oh and self.ow and self.oh >= 1 and self.ow >= 1):
                 raise ArgumentError("adaptive_avgpool needs oh, ow >= 1")
         elif self.kind == "linear":
-            if not (self.in_features and self.out_features):
-                raise ArgumentError("linear needs in_features and out_features")
+            if not (self.in_features and self.out_features
+                    and self.in_features >= 1 and self.out_features >= 1):
+                raise ArgumentError("linear needs in_features, out_features >= 1")
 
     def _check_window(self):
         if self.k is None or self.k < 1 or self.s < 1 or self.p < 0:

@@ -1,6 +1,7 @@
 """Client-side split pipeline: filter, quantize, frame, send, log.
 
-Two transports:
+An image is a (tensor, is_empty) pair, the tensor a read-only float32
+ndarray of the bottleneck's shape (``splitwire.tensor``). Two transports:
 
 * ``simulated`` - nothing is quantized or framed. A kept image is charged
   the closed-form frame size from ``wire``: wire_header_bytes(rank) plus
@@ -37,7 +38,7 @@ import numpy as np
 from ..codec import dequantize, quantize8, quantize16
 from ..errors import ArgumentError, ProtocolError, TransportError
 from ..latency import ChannelModel, ExecutionProfile, transfer_time
-from ..tensor import Shape, Tensor, random_fill
+from ..tensor import Shape, random_fill
 from .filtergate import FilterModel
 from .wire import (MsgType, WireMessage, decode_message, encode_message, recv_frame,
                    tensor_digest, tensor_to_message, wire_header_bytes)
@@ -107,7 +108,7 @@ def stream_labels(n: int, p_empty: float, seed: int) -> np.ndarray:
     return rng.random(n) < p_empty
 
 
-def make_stream(n: int, shape, p_empty: float, seed: int) -> list[tuple[Tensor, bool]]:
+def make_stream(n: int, shape, p_empty: float, seed: int) -> list[tuple[np.ndarray, bool]]:
     """Synthetic labeled image stream: n (bottleneck tensor, is_empty) pairs,
     each tensor filled uniformly from [-1, 1).
 
@@ -165,7 +166,7 @@ def read_frame(sock: socket.socket) -> WireMessage | None:
     return None if frame is None else decode_message(frame)
 
 
-def _quantize_for_width(t: Tensor, width: int) -> WireMessage:
+def _quantize_for_width(t: np.ndarray, width: int) -> WireMessage:
     if width == 8:
         return quantize8(t)
     if width == 16:
@@ -173,7 +174,7 @@ def _quantize_for_width(t: Tensor, width: int) -> WireMessage:
     return tensor_to_message(t)
 
 
-def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
+def run_session(images: list[tuple[np.ndarray, bool]], prof: ExecutionProfile,
                 ch: ChannelModel, fm: FilterModel, mode: str = "simulated",
                 seed: int = 0, width: int = 8,
                 server_addr: tuple[str, int] | None = None,
@@ -211,7 +212,7 @@ def run_session(images: list[tuple[Tensor, bool]], prof: ExecutionProfile,
                 continue
 
             if mode == "simulated":
-                size = wire_header_bytes(img.shape.rank) + img.numel * width // 8
+                size = wire_header_bytes(img.ndim) + img.size * width // 8
                 uplink = transfer_time(size, ch)
             else:
                 q = _quantize_for_width(img, width)

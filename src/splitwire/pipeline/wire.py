@@ -21,15 +21,18 @@ yields a valid message or raises ProtocolError.
 recv_frame reads one frame off a stream. It checks magic, version and ndim
 as soon as the 7-byte prefix is in, with the same check decode_message
 uses, and asks the socket for at most 1 MiB per recv, so the memory a
-frame takes grows only with the bytes that really arrived.
+frame takes grows only with the bytes that really arrived. Before any
+payload it checks payload_len: at most MAX_PAYLOAD_BYTES, and for a tensor
+type exactly the length its dims and element width give WireMessage.
 
 WireMessage is the one record of a tensor on the wire, as the codec's
 quantizers return it: it owns the payload-length rule and the scale's
 binary32 rounding. ELEMENT_BITS is each tensor type's element width.
 
 tensor_digest (SHA-256 of the float32 values) is what the tail replies
-with and what the head checks. wire_header_bytes and data_size count a
-quantized tensor's bytes as framed here.
+with and what the head checks; it and tensor_to_message take a tensor
+(``splitwire.tensor``). wire_header_bytes and data_size count a quantized
+tensor's bytes as framed here.
 """
 
 from __future__ import annotations
@@ -44,12 +47,13 @@ from enum import IntEnum
 import numpy as np
 
 from ..errors import ProtocolError, RangeError, TransportError
-from ..tensor import Tensor
+from ..tensor import check_tensor
 
 __all__ = [
     "MAGIC",
     "VERSION",
     "MAX_NDIM",
+    "MAX_PAYLOAD_BYTES",
     "MsgType",
     "ELEMENT_BITS",
     "WireMessage",
@@ -70,6 +74,9 @@ __all__ = [
 MAGIC = b"SCWP"
 VERSION = 1
 MAX_NDIM = 8
+# what recv_frame reads of one frame's payload: 60x the reference JPEG's
+# 277,021 bytes and 23x a reference-shape (3x223x265) float32 tensor
+MAX_PAYLOAD_BYTES = 1 << 24
 
 _PREFIX = struct.Struct(">4sBBB")
 _TRAILER = struct.Struct(">fiQ")
@@ -93,6 +100,11 @@ class MsgType(IntEnum):
 # element width in bits of each tensor type; every other type is dimless.
 # Only width 8 is affine: the other tensor types carry scale 1 and zero point 0
 ELEMENT_BITS = {MsgType.QTENSOR8: 8, MsgType.QTENSOR16: 16, MsgType.FTENSOR32: 32}
+
+
+def _tensor_payload_bytes(msg_type: int, dims) -> int:
+    """The payload length of a ``msg_type`` tensor of ``dims``, a key of ELEMENT_BITS."""
+    return math.prod(dims) * (ELEMENT_BITS[msg_type] // 8)
 
 
 @dataclass(frozen=True)
@@ -124,13 +136,10 @@ class WireMessage:
         if not -(2 ** 31) <= self.zero_point < 2 ** 31:
             raise ProtocolError("zero_point outside signed 32-bit range")
 
-        n = 1
-        for d in dims:
-            n *= d
         if mt in ELEMENT_BITS:
             if not dims:
                 raise ProtocolError(f"{mt.name} needs at least one dim")
-            expected = n * (ELEMENT_BITS[mt] // 8)
+            expected = _tensor_payload_bytes(mt, dims)
             if len(self.payload) != expected:
                 raise ProtocolError(
                     f"{mt.name} payload is {len(self.payload)} bytes, "
@@ -234,22 +243,27 @@ def recv_frame(sock: socket.socket) -> bytes | None:
     if not first:
         return None
     prefix = first + _recv_exact(sock, _PREFIX.size - len(first))
-    _, ndim = _check_prefix(prefix)
+    msg_type, ndim = _check_prefix(prefix)
     rest = _recv_exact(sock, 4 * ndim + _TRAILER.size)
     payload_len = _TRAILER.unpack_from(rest, 4 * ndim)[2]
-    if payload_len > (1 << 32):
-        raise ProtocolError(f"implausible payload_len {payload_len}")
+    if payload_len > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(f"payload_len {payload_len} exceeds {MAX_PAYLOAD_BYTES}")
+    if msg_type in ELEMENT_BITS:
+        dims = struct.unpack_from(f">{ndim}I", rest)
+        if payload_len != _tensor_payload_bytes(msg_type, dims):
+            raise ProtocolError(f"payload_len {payload_len} does not fit "
+                                f"{MsgType(msg_type).name} dims {dims}")
     return prefix + rest + _recv_exact(sock, payload_len)
 
 
-def tensor_digest(t: Tensor) -> bytes:
-    """SHA-256 over the row-major little-endian float32 bytes."""
-    return hashlib.sha256(t.data.astype("<f4", copy=False)).digest()
+def tensor_digest(t: np.ndarray) -> bytes:
+    """SHA-256 over a tensor's row-major little-endian float32 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(check_tensor(t), "<f4")).digest()
 
 
-def tensor_to_message(t: Tensor) -> WireMessage:
-    return WireMessage(MsgType.FTENSOR32, t.shape.dims, 1.0, 0,
-                       t.data.astype("<f4", copy=False).tobytes())
+def tensor_to_message(t: np.ndarray) -> WireMessage:
+    return WireMessage(MsgType.FTENSOR32, check_tensor(t).shape, 1.0, 0,
+                       t.astype("<f4", copy=False).tobytes())
 
 
 def detection_result_message(digest: bytes) -> WireMessage:

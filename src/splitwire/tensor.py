@@ -1,8 +1,12 @@
-"""Minimal dense float32 tensor container.
+"""Dense float32 tensors and their shapes.
 
-Values are stored flat in row-major order so that codec payloads have an
-unambiguous byte order on the wire. Tensors are immutable after construction
-and therefore safe to share between threads.
+A tensor is a read-only float32 ndarray of shape ``dims``. Its row-major
+bytes are what the codec quantizes, so payloads have an unambiguous byte
+order on the wire, and being read-only it is safe to share between threads.
+``check_tensor`` is the one rule for what the codec and the wire accept as a
+tensor: float32, at least one dimension and no zero extent. The rule does not
+check that the values are finite: ``quantize8``, ``quantize16`` and
+``dequantize`` reject NaN and Inf with CodecError.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from .errors import RangeError, ShapeError
 
-__all__ = ["Shape", "Tensor", "random_fill"]
+__all__ = ["Shape", "check_tensor", "random_fill"]
 
 
 @dataclass(frozen=True)
@@ -52,57 +56,14 @@ class Shape:
         return "x".join(str(d) for d in self.dims)
 
 
-class Tensor:
-    """Immutable rank-N array of float32 values.
-
-    A tensor owns its array and marks it read-only. ``Tensor(shape, data)``
-    copies ``data``, so the caller may go on writing to its array. Code in
-    this package that has just allocated an array and hands it over keeps it
-    with ``Tensor._adopt`` instead, without the copy. Construction does not
-    check that the values are finite: ``quantize8``, ``quantize16`` and
-    ``dequantize`` reject NaN and Inf with CodecError.
-    """
-
-    __slots__ = ("shape", "_data")
-
-    def __init__(self, shape: Shape, data: np.ndarray):
-        self._hold(shape, data, copy=True)
-
-    @classmethod
-    def _adopt(cls, shape: Shape, data: np.ndarray) -> "Tensor":
-        """Keep ``data`` itself; no other reference to it may write to it."""
-        t = cls.__new__(cls)
-        t._hold(shape, data, copy=False)
-        return t
-
-    def _hold(self, shape: Shape, data: np.ndarray, copy: bool) -> None:
-        if data.dtype != np.float32 or data.ndim != 1:
-            raise ShapeError("tensor data must be a flat float32 array")
-        if data.size != shape.numel:
-            raise ShapeError(
-                f"data length {data.size} does not match shape {shape} "
-                f"(numel {shape.numel})"
-            )
-        if copy:
-            data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_data", data)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Tensor is immutable")
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only flat float32 view, row-major."""
-        return self._data
-
-    @property
-    def numel(self) -> int:
-        return self.shape.numel
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, numel={self.numel})"
+def check_tensor(t) -> np.ndarray:
+    """``t`` itself if it is a tensor: a float32 ndarray with at least one
+    dimension and no zero extent; ShapeError otherwise."""
+    if not (isinstance(t, np.ndarray) and t.dtype == np.float32 and t.ndim and t.size):
+        got = f"{t.dtype} of shape {t.shape}" if isinstance(t, np.ndarray) else type(t)
+        raise ShapeError("a tensor is a float32 array with at least one dimension "
+                         f"and no zero extent, got {got}")
+    return t
 
 
 # splitmix64 constants; the generator is self-contained so seeded streams are
@@ -122,8 +83,8 @@ def _splitmix64_unit(seed: int, n: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def random_fill(shape: Shape | Sequence[int], seed: int, lo: float, hi: float) -> Tensor:
-    """Deterministic pseudo-random tensor with values in [lo, hi)."""
+def random_fill(shape: Shape | Sequence[int], seed: int, lo: float, hi: float) -> np.ndarray:
+    """Deterministic pseudo-random tensor of shape ``dims`` with values in [lo, hi)."""
     if not isinstance(shape, Shape):
         shape = Shape(shape)
     if not lo < hi:
@@ -133,4 +94,6 @@ def random_fill(shape: Shape | Sequence[int], seed: int, lo: float, hi: float) -
     # float32 rounding may land exactly on hi; pull those back inside.
     upper = np.nextafter(np.float32(hi), np.float32(lo))
     np.minimum(vals, upper, out=vals)
-    return Tensor._adopt(shape, vals)
+    vals = vals.reshape(shape.dims)
+    vals.setflags(write=False)
+    return vals

@@ -39,7 +39,7 @@ from splitwire.pipeline.wire import (
     encode_message,
     tensor_to_message,
 )
-from splitwire.tensor import Shape, Tensor, random_fill
+from splitwire.tensor import Shape, random_fill
 from test_distill import plan_gradients
 
 IMAGE = Shape([3, 874, 1044])
@@ -99,13 +99,13 @@ def test_c03_quantization_round_trip_bound():
             t = random_fill(Shape([numel]), seed=i, lo=lo, hi=hi)
             q = quantize8(t)
             err = float(np.max(np.abs(
-                dequantize(q).data.astype(np.float64) - t.data)))
+                dequantize(q).astype(np.float64) - t)))
             assert err <= q.scale / 2 + 1e-6, (i, err, q.scale)
 
             c = float(rng.uniform(-50.0, 50.0))
-            const = Tensor(Shape([7]), np.full(7, c, dtype=np.float32))
+            const = np.full(7, c, dtype=np.float32)
             back = dequantize(quantize8(const))
-            assert back.shape == const.shape and np.array_equal(back.data, const.data)
+            assert back.shape == const.shape and np.array_equal(back, const)
         assert time.monotonic() - start < 10.0
 
 

@@ -192,7 +192,7 @@ def test_codec_quantize_then_dequantize_bounds_error(tmp_path, tensor_file, caps
     orig = dequantize(load_message(tensor_file))
     restored = dequantize(load_message(str(back)))
     scale = quantize8(orig).scale
-    err = max(abs(a - b) for a, b in zip(orig.data.tolist(), restored.data.tolist()))
+    err = max(abs(a - b) for a, b in zip(orig.ravel().tolist(), restored.ravel().tolist()))
     assert err <= scale / 2 + 1e-6
 
 
@@ -379,8 +379,11 @@ def test_netspec_output_is_byte_identical(capsys, ref_path, spec, shape):
     {"kind": "conv", "oc": 2, "k": 1, "bias": 1},
     {"kind": "conv", "oc": 2, "k": 1, "s": None},
     {"oc": 2, "k": 1},
+    {"kind": "linear", "in_features": -5, "out_features": 2},
+    {"kind": "linear", "in_features": 192, "out_features": -3},
 ], ids=["oc-str", "in-features-str", "oh-str", "oc-nan", "oc-float", "oc-bool",
-        "bottleneck-str", "bias-int", "s-null", "no-kind"])
+        "bottleneck-str", "bias-int", "s-null", "no-kind", "in-features-negative",
+        "out-features-negative"])
 def test_netspec_mistyped_layer_field_exits_2(tmp_path, capsys, layer):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"name": "typed", "layers": [layer]}))

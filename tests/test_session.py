@@ -1,3 +1,4 @@
+import hashlib
 import socket
 import struct
 import threading
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from splitwire.codec import quantize8, quantize16
+from splitwire.codec import dequantize, quantize8, quantize16
 from splitwire.errors import ArgumentError, CodecError, ProtocolError, TransportError
 from splitwire.latency import (ChannelModel, ExecutionProfile, PayloadSizes, total_delay,
                                transfer_time)
@@ -14,9 +15,10 @@ from splitwire.pipeline import session
 from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
-from splitwire.pipeline.wire import (MAGIC, detection_result_message, encode_message,
-                                    tensor_to_message, wire_header_bytes)
-from splitwire.tensor import Shape, Tensor, random_fill
+from splitwire.pipeline.wire import (MAGIC, MAX_PAYLOAD_BYTES, MsgType,
+                                    detection_result_message, encode_message,
+                                    tensor_digest, tensor_to_message, wire_header_bytes)
+from splitwire.tensor import Shape, random_fill
 
 PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
                         t_tail=0.04, t_filter_extra=0.004)
@@ -101,7 +103,7 @@ def test_simulated_bytes_are_the_real_frame_size(width):
     shapes = [[7], [3, 5], [2, 3, 4], [2, 1, 3, 2]]
     images = [(random_fill(Shape(dims), 40 + k, -1.0, 1.0), False)
               for k, dims in enumerate(shapes)]
-    images.append((Tensor(Shape([2, 3]), np.full(6, 0.25, dtype=np.float32)), False))
+    images.append((np.full((2, 3), 0.25, dtype=np.float32), False))
     log = run_session(images, PROF, CH, SHARP_FM, mode="simulated", seed=17, width=width)
     quantize = {8: quantize8, 16: quantize16, 32: tensor_to_message}[width]
     for (img, _), r in zip(images, log.records):
@@ -126,7 +128,28 @@ def test_make_stream_respects_prior_and_determinism():
     assert frac_empty == pytest.approx(0.46, abs=0.04)
     again = make_stream(2000, [3, 2, 2], 0.46, seed=15)
     assert all(a[1] == b[1] and a[0].shape == b[0].shape
-               and np.array_equal(a[0].data, b[0].data) for a, b in zip(stream, again))
+               and np.array_equal(a[0], b[0]) for a, b in zip(stream, again))
+
+
+# SHA-256, per width, over each pool tensor's frame hash and then the digest of
+# its dequantized tensor: the bytes perfbench's loopback pool sends and checks
+POOL_DIGESTS = {
+    8: "1fcf1ae509899b96693bd49f56d6d5adce301f16cc23b2add06252b890bb657e",
+    16: "0fde384215a8254db4333e5b924b34b353a07d14369c4f3006c43043b75001fb",
+    32: "d31f6b4c62d15568e3e3de2874597bb1bbd43fd771806b84be8ec2f9659e8f14",
+}
+
+
+def test_reference_pool_frames_and_digests_are_pinned():
+    pool = make_stream(4, (3, 223, 265), 0.46, seed=1)
+    assert [empty for _, empty in pool] == [True, False, True, True]
+    for width, quantize in ((8, quantize8), (16, quantize16), (32, tensor_to_message)):
+        h = hashlib.sha256()
+        for t, _ in pool:
+            q = quantize(t)
+            h.update(hashlib.sha256(encode_message(q)).digest())
+            h.update(tensor_digest(dequantize(q)))
+        assert h.hexdigest() == POOL_DIGESTS[width], width
 
 
 def test_argument_validation():
@@ -305,9 +328,9 @@ def test_failed_verify_closes_the_socket_and_the_server_serves_on(monkeypatch,
 @pytest.mark.parametrize("width", [8, 16])
 def test_non_finite_tensor_is_a_codec_error_before_the_send(width, client_sockets):
     events, _ = client_sockets
-    vals = np.full(3 * 8 * 8, 0.5, dtype=np.float32)
-    vals[7] = np.nan
-    images = [(Tensor(Shape([3, 8, 8]), vals), False)]
+    vals = np.full((3, 8, 8), 0.5, dtype=np.float32)
+    vals[0, 0, 7] = np.nan
+    images = [(vals, False)]
     with PipelineServer(prof=PROF) as srv:
         with pytest.raises(CodecError, match="NaN or Inf"):
             run_session(images, PROF, CH, SHARP_FM, mode="socket", seed=29, width=width,
@@ -337,10 +360,30 @@ class _RecordingSocket:
         return chunk
 
 
+def _header(msg_type: MsgType, dims: tuple, payload_len: int) -> bytes:
+    return (MAGIC + bytes([1, msg_type, len(dims)]) + struct.pack(f">{len(dims)}I", *dims)
+            + struct.pack(">fiQ", 1.0, 0, payload_len))
+
+
 def test_each_recv_is_bounded_whatever_the_header_claims():
-    # a dimless JPEG_IMAGE header claiming a 4 GiB payload, then EOF
-    header = MAGIC + bytes([1, 0, 0]) + struct.pack(">fiQ", 0.0, 0, 1 << 32)
-    sock = _RecordingSocket(header)
+    # a dimless JPEG_IMAGE header claiming the largest payload allowed, then EOF
+    sock = _RecordingSocket(_header(MsgType.JPEG_IMAGE, (), MAX_PAYLOAD_BYTES))
     with pytest.raises(TransportError, match="closed mid-frame"):
         read_frame(sock)
     assert max(sock.asked) <= 1 << 20
+
+
+@pytest.mark.parametrize("msg_type, dims, payload_len, match", [
+    (MsgType.QTENSOR8, (1,), 3 << 20, "does not fit QTENSOR8 dims"),
+    (MsgType.FTENSOR32, (2, 3), 25, "does not fit FTENSOR32 dims"),
+    (MsgType.JPEG_IMAGE, (), MAX_PAYLOAD_BYTES + 1, "exceeds"),
+    (MsgType.JPEG_IMAGE, (), (1 << 32) - 1, "exceeds"),
+    (MsgType.QTENSOR8, (1 << 16, 1 << 16), 1 << 32, "exceeds"),
+], ids=["qtensor8-3mib", "ftensor32-short", "jpeg-over-cap", "jpeg-4gib", "tensor-over-cap"])
+def test_a_frame_is_bounded_before_its_payload_is_read(msg_type, dims, payload_len, match):
+    # the payload is there to be read: only the header check can stop the reads
+    header = _header(msg_type, dims, payload_len)
+    sock = _RecordingSocket(header + bytes(min(payload_len, 1 << 21)))
+    with pytest.raises(ProtocolError, match=match):
+        read_frame(sock)
+    assert sum(sock.asked) == len(header)

@@ -149,7 +149,7 @@ def test_float_tensor_roundtrip():
     m = tensor_to_message(t)
     back = dequantize(decode_message(encode_message(m)))
     assert back.shape == t.shape
-    assert back.data.tobytes() == t.data.tobytes()
+    assert back.tobytes() == t.tobytes()
 
 
 def test_quantized_roundtrip_via_message():
@@ -157,7 +157,7 @@ def test_quantized_roundtrip_via_message():
     for q in (quantize8(t), quantize16(t)):
         back = decode_message(encode_message(q))
         assert back == q
-        assert dequantize(back).data.tobytes() == dequantize(q).data.tobytes()
+        assert dequantize(back).tobytes() == dequantize(q).tobytes()
 
 
 def test_dequantize_rejects_non_tensor_types():
