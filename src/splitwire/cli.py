@@ -244,8 +244,9 @@ def cmd_client(args) -> int:
                   for empty in stream_labels(args.n, cfg.filter.p_empty, seed)]
         addr = None
     else:
-        images = make_stream(args.n, shape, cfg.filter.p_empty, seed)
         addr = _parse_addr(args.addr)
+        wire.check_payload_fits(shape.dims, args.width)
+        images = make_stream(args.n, shape, cfg.filter.p_empty, seed)
     log = run_session(images, cfg.profile, cfg.channel, cfg.filter,
                       mode=args.mode, seed=seed, width=args.width,
                       server_addr=addr)

@@ -30,6 +30,8 @@ BINARY16_MAX = 65504.0
 _F32_MAX = float(np.finfo(np.float32).max)
 # a binary32 quotient this close to an integer rounds as the float64 one does
 _SAFE_DISTANCE = np.float32(0.5 - 2.0 ** -12)
+# elements per block of quantize8's level pass
+_LEVEL_BLOCK = 1 << 16
 
 
 def _finite_range(t: np.ndarray) -> tuple[float, float]:
@@ -78,6 +80,12 @@ def quantize8(t: np.ndarray) -> WireMessage:
       ``2**-128``), ``r`` is NaN, so every ``y`` is NaN and every element
       takes the float64 formula. No other scale gives a reciprocal outside
       binary32's normal range: ``scale <= 2 * FLT_MAX / 255``.
+
+    The level pass runs over the flat tensor in blocks of ``_LEVEL_BLOCK``
+    elements through two binary32 buffers allocated once, writing each block's
+    levels into one ``uint8`` array, so its temporaries stay bounded whatever
+    the shape. Each element sees the same operations as in one whole-tensor
+    pass, so the payload does not depend on the block size.
     """
     m, big = _finite_range(t)
     if big == m:
@@ -97,13 +105,20 @@ def quantize8(t: np.ndarray) -> WireMessage:
     x = t.reshape(-1)
     inv = 1.0 / scale
     r = np.float32(inv) if inv <= _F32_MAX else np.float32(np.nan)
-    y = x * r
-    k = np.rint(y)
-    y -= k
-    redo = np.flatnonzero(~(np.abs(y, out=y) <= _SAFE_DISTANCE))
-    k[redo] = np.rint(x[redo].astype(np.float64) / scale)
-    k += zero_point
-    payload = k.astype(np.uint8).tobytes()
+    levels = np.empty(x.size, dtype=np.uint8)
+    y = np.empty(min(x.size, _LEVEL_BLOCK), dtype=np.float32)
+    k = np.empty_like(y)
+    for start in range(0, x.size, _LEVEL_BLOCK):
+        xb = x[start:start + _LEVEL_BLOCK]
+        yb, kb = y[:xb.size], k[:xb.size]
+        np.multiply(xb, r, out=yb)
+        np.rint(yb, out=kb)
+        yb -= kb
+        redo = np.flatnonzero(~(np.abs(yb, out=yb) <= _SAFE_DISTANCE))
+        kb[redo] = np.rint(xb[redo].astype(np.float64) / scale)
+        kb += zero_point
+        levels[start:start + xb.size] = kb
+    payload = levels.tobytes()
     return WireMessage(MsgType.QTENSOR8, t.shape, scale, zero_point, payload)
 
 

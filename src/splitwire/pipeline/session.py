@@ -15,10 +15,12 @@ ndarray of the bottleneck's shape (``splitwire.tensor``). Two transports:
 * ``socket``    - frames go over a real TCP stream to a PipelineServer,
   paced by a token bucket at the channel rate; uplink seconds are measured
   wall clock, while head and tail compute stay virtual (from the profile).
-  Each image is quantized once. The client computes the digest of the
-  dequantized tensor while its frame is still on the link, in the token
-  bucket's first pacing wait (after the last byte when the frame fits in
-  one chunk), and checks it against the digest in the tail's reply.
+  A tensor whose payload would exceed ``wire.MAX_PAYLOAD_BYTES`` is an
+  ArgumentError before the connection opens. Each image is quantized once.
+  The client computes the digest of the dequantized tensor while its frame
+  is still on the link, in the token bucket's first pacing wait (after the
+  last byte when the frame fits in one chunk), and checks it against the
+  digest in the tail's reply.
 
 Per-image head time is charged as t_head + t_filter_extra (the filter branch
 runs alongside the head on every image). ``FilterModel.drops`` decides which
@@ -40,8 +42,8 @@ from ..errors import ArgumentError, ProtocolError, TransportError
 from ..latency import ChannelModel, ExecutionProfile, transfer_time
 from ..tensor import Shape, random_fill
 from .filtergate import FilterModel
-from .wire import (MsgType, WireMessage, decode_message, encode_message, recv_frame,
-                   tensor_digest, tensor_to_message, wire_header_bytes)
+from .wire import (MsgType, WireMessage, check_payload_fits, decode_message, encode_message,
+                   recv_frame, tensor_digest, tensor_to_message, wire_header_bytes)
 
 __all__ = [
     "ImageRecord",
@@ -199,6 +201,8 @@ def run_session(images: list[tuple[np.ndarray, bool]], prof: ExecutionProfile,
     if mode == "socket":
         if server_addr is None:
             raise ArgumentError("socket mode needs server_addr")
+        for img, _empty in images:
+            check_payload_fits(img.shape, width)
         try:
             sock = socket.create_connection(server_addr, timeout=connect_timeout_s)
         except OSError as exc:

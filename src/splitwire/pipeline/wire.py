@@ -24,6 +24,8 @@ uses, and asks the socket for at most 1 MiB per recv, so the memory a
 frame takes grows only with the bytes that really arrived. Before any
 payload it checks payload_len: at most MAX_PAYLOAD_BYTES, and for a tensor
 type exactly the length its dims and element width give WireMessage.
+check_payload_fits refuses, before anything is built or sent, a tensor whose
+payload would exceed that cap.
 
 WireMessage is the one record of a tensor on the wire, as the codec's
 quantizers return it: it owns the payload-length rule and the scale's
@@ -46,7 +48,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ..errors import ProtocolError, RangeError, TransportError
+from ..errors import ArgumentError, ProtocolError, RangeError, TransportError
 from ..tensor import check_tensor
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "MAX_PAYLOAD_BYTES",
     "MsgType",
     "ELEMENT_BITS",
+    "check_payload_fits",
     "WireMessage",
     "SizeReport",
     "wire_header_bytes",
@@ -102,9 +105,20 @@ class MsgType(IntEnum):
 ELEMENT_BITS = {MsgType.QTENSOR8: 8, MsgType.QTENSOR16: 16, MsgType.FTENSOR32: 32}
 
 
-def _tensor_payload_bytes(msg_type: int, dims) -> int:
-    """The payload length of a ``msg_type`` tensor of ``dims``, a key of ELEMENT_BITS."""
-    return math.prod(dims) * (ELEMENT_BITS[msg_type] // 8)
+def _tensor_payload_bytes(width: int, dims) -> int:
+    """The payload length of a tensor of ``dims`` at ``width`` bits per element."""
+    return math.prod(dims) * (width // 8)
+
+
+def check_payload_fits(dims, width: int) -> None:
+    """ArgumentError unless a tensor of ``dims`` at ``width`` bits per element
+    has a payload of at most MAX_PAYLOAD_BYTES, the most a receiver reads."""
+    size = _tensor_payload_bytes(width, dims)
+    if size > MAX_PAYLOAD_BYTES:
+        raise ArgumentError(
+            f"a {'x'.join(map(str, dims))} tensor at width {width} is a {size}-byte "
+            f"payload, over the {MAX_PAYLOAD_BYTES}-byte cap (wire.MAX_PAYLOAD_BYTES)"
+        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +153,7 @@ class WireMessage:
         if mt in ELEMENT_BITS:
             if not dims:
                 raise ProtocolError(f"{mt.name} needs at least one dim")
-            expected = _tensor_payload_bytes(mt, dims)
+            expected = _tensor_payload_bytes(ELEMENT_BITS[mt], dims)
             if len(self.payload) != expected:
                 raise ProtocolError(
                     f"{mt.name} payload is {len(self.payload)} bytes, "
@@ -250,7 +264,7 @@ def recv_frame(sock: socket.socket) -> bytes | None:
         raise ProtocolError(f"payload_len {payload_len} exceeds {MAX_PAYLOAD_BYTES}")
     if msg_type in ELEMENT_BITS:
         dims = struct.unpack_from(f">{ndim}I", rest)
-        if payload_len != _tensor_payload_bytes(msg_type, dims):
+        if payload_len != _tensor_payload_bytes(ELEMENT_BITS[msg_type], dims):
             raise ProtocolError(f"payload_len {payload_len} does not fit "
                                 f"{MsgType(msg_type).name} dims {dims}")
     return prefix + rest + _recv_exact(sock, payload_len)

@@ -71,26 +71,50 @@ def check_tensor(t) -> np.ndarray:
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_M2 = np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix64_unit(seed: int, n: int) -> np.ndarray:
-    """n deterministic float64 samples in [0, 1) from a splitmix64 stream."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed % (1 << 64)) + idx * _SM64_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _SM64_M1
-    z = (z ^ (z >> np.uint64(27))) * _SM64_M2
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+# elements per block: random_fill's four block buffers (512 KiB) stay in L2
+_BLOCK = 1 << 14
 
 
 def random_fill(shape: Shape | Sequence[int], seed: int, lo: float, hi: float) -> np.ndarray:
-    """Deterministic pseudo-random tensor of shape ``dims`` with values in [lo, hi)."""
+    """Deterministic pseudo-random tensor of shape ``dims`` with values in [lo, hi).
+
+    Element ``i`` (from 0) is ``lo + u * (hi - lo)`` rounded to float32, with
+    ``u`` in [0, 1) the top 53 bits of the splitmix64 output for the counter
+    ``seed + (i + 1) * gamma`` (mod 2**64), times ``2**-53``. The stream is
+    generated in blocks of ``_BLOCK`` elements through buffers allocated once,
+    so the temporaries stay bounded whatever the shape; every element sees the
+    same IEEE operations as in one whole-array pass.
+    """
     if not isinstance(shape, Shape):
         shape = Shape(shape)
     if not lo < hi:
         raise RangeError(f"need lo < hi, got lo={lo} hi={hi}")
-    u = _splitmix64_unit(seed, shape.numel)
-    vals = (lo + u * (hi - lo)).astype(np.float32)
+    n = shape.numel
+    vals = np.empty(n, dtype=np.float32)
+    m = min(n, _BLOCK)
+    # a block's counters are this ramp plus the counter before its first element
+    ramp = np.arange(1, m + 1, dtype=np.uint64) * _SM64_GAMMA
+    z, shifted, u = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m, np.float64)
+    span = hi - lo
+    for start in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - start)
+        zb, sb, ub = z[:k], shifted[:k], u[:k]
+        # uint64 arrays wrap silently; a uint64 scalar product would warn
+        np.add(ramp[:k], np.uint64((seed + start * int(_SM64_GAMMA)) % (1 << 64)), out=zb)
+        np.right_shift(zb, np.uint64(30), out=sb)
+        zb ^= sb
+        zb *= _SM64_M1
+        np.right_shift(zb, np.uint64(27), out=sb)
+        zb ^= sb
+        zb *= _SM64_M2
+        np.right_shift(zb, np.uint64(31), out=sb)
+        zb ^= sb
+        zb >>= np.uint64(11)
+        ub[...] = zb
+        ub *= 2.0**-53
+        ub *= span
+        ub += lo
+        vals[start:start + k] = ub
     # float32 rounding may land exactly on hi; pull those back inside.
     upper = np.nextafter(np.float32(hi), np.float32(lo))
     np.minimum(vals, upper, out=vals)

@@ -640,6 +640,19 @@ def test_client_without_server_exits_4(tmp_path, ref_path):
                 "--n", "2", "--out", str(tmp_path / "x.csv")]) == 4
 
 
+def test_client_frame_over_the_cap_exits_2_before_building_a_tensor(
+        tmp_path, ref_path, capsys, monkeypatch):
+    # a 17,280,000-byte payload: it was built, then refused as "cannot reach
+    # server" (exit 4), or reset by a live server that read only its header
+    monkeypatch.setattr(cli, "make_stream", lambda *a: pytest.fail("built the tensors"))
+    assert run(["client", "--config", ref_path, "--mode", "socket", "--addr", "127.0.0.1:1",
+                "--shape", "3x1200x1200", "--width", "32", "--n", "1",
+                "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "MAX_PAYLOAD_BYTES" in err
+
+
 def test_client_zero_images_exits_2(tmp_path, ref_path):
     assert run(["client", "--config", ref_path, "--mode", "simulated",
                 "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -226,6 +227,16 @@ EXACT_TIES = [0.0, 0.5, 1.5, 2.5, 253.5, 254.5, 255.0]
 EXACT_TIES_AT_0_75 = [0.0, 0.375, 1.125, 1.875, 190.875, 191.25]
 # a subnormal scale of 1.9e-43, whose reciprocal overflows binary32
 RECIPROCAL_OVERFLOWS = [6.28342231403248e-42, 4.097957229071495e-41, 4.912251766690646e-41]
+LEVEL_BLOCK = splitwire.codec._LEVEL_BLOCK
+# the reciprocal-overflow case tiled over three level blocks, the last partial
+RECIPROCAL_OVERFLOWS_BLOCKS = np.resize(RECIPROCAL_OVERFLOWS, 2 * LEVEL_BLOCK + 7).tolist()
+
+
+def splice_at_block_edges(x, values):
+    """Write ``values``, cycling, on both sides of every level-block edge of ``x``."""
+    edges = np.arange(0, x.size + 1, LEVEL_BLOCK)
+    at = np.unique(np.clip(np.concatenate([edges - 1, edges]), 0, x.size - 1))
+    x[at] = np.resize(np.array(values, dtype=np.float32), at.size)
 
 
 @given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
@@ -240,6 +251,24 @@ def test_quantize8_levels_equal_the_float64_formula(values):
     # subnormals included: hypothesis draws them for binary32 by default
     assume(not scale_underflows(values))
     t = f32([len(values)], values)
+    q = quantize8(t)
+    assert q.payload == float64_levels(t, q.scale, q.zero_point)
+
+
+@given(st.sampled_from([1, LEVEL_BLOCK - 1, LEVEL_BLOCK, LEVEL_BLOCK + 1, 2 * LEVEL_BLOCK + 7]),
+       st.integers(0, 2**64 - 1),
+       st.floats(-1e3, 1e3, width=32), st.floats(-1e3, 1e3, width=32),
+       st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), max_size=4))
+@example(2 * LEVEL_BLOCK + 7, 1, 0.0, 254.0, EXACT_TIES)
+@example(LEVEL_BLOCK + 1, 2, 0.0, 191.0, EXACT_TIES_AT_0_75)
+@example(2 * LEVEL_BLOCK + 7, 3, 0.0, 1e-41, RECIPROCAL_OVERFLOWS)
+def test_quantize8_levels_in_blocks_equal_the_float64_formula(n, seed, lo, hi, spliced):
+    # seeded values fill every block; the drawn ones sit at the block edges
+    assume(lo < hi)
+    t = random_fill([n], seed, lo, hi).copy()
+    if spliced:
+        splice_at_block_edges(t, spliced)
+    assume(not scale_underflows([float(t.min()), float(t.max())]))
     q = quantize8(t)
     assert q.payload == float64_levels(t, q.scale, q.zero_point)
 
@@ -273,7 +302,9 @@ def test_quantize8_near_ties_equal_the_float64_formula(a, b, ties):
     (EXACT_TIES, 5),
     (EXACT_TIES_AT_0_75, 4),
     (RECIPROCAL_OVERFLOWS, 3),
-], ids=["no-ties", "ties-at-scale-1", "ties-at-scale-0.75", "reciprocal-overflows"])
+    (RECIPROCAL_OVERFLOWS_BLOCKS, len(RECIPROCAL_OVERFLOWS_BLOCKS)),
+], ids=["no-ties", "ties-at-scale-1", "ties-at-scale-0.75", "reciprocal-overflows",
+        "reciprocal-overflows-in-every-block"])
 def test_quantize8_redoes_only_near_ties_in_float64(values, redone):
     t = f32([len(values)], values)
     with warnings.catch_warnings():
@@ -281,6 +312,20 @@ def test_quantize8_redoes_only_near_ties_in_float64(values, redone):
         q, n = quantize8_spied(t)
     assert n == redone
     assert q.payload == float64_levels(t, q.scale, q.zero_point)
+
+
+def test_quantize8_temporaries_stay_bounded():
+    # the whole-tensor level pass peaked at 1.77 MB for a 0.71 MB tensor
+    t = random_fill(Shape([3, 223, 265]), seed=1, lo=-1.0, hi=1.0)
+    quantize8(t[:1])
+    tracemalloc.start()
+    try:
+        q = quantize8(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q.payload) == t.size
+    assert peak <= 1_200_000
 
 
 # --- quantize16 -----------------------------------------------------------------

@@ -171,6 +171,15 @@ def test_socket_mode_without_server_raises_transport_error():
                     server_addr=("127.0.0.1", 1), connect_timeout_s=0.5)
 
 
+def test_a_frame_over_the_cap_is_refused_before_connecting():
+    # a 16,785,408-byte payload, over MAX_PAYLOAD_BYTES by 8,192; the zero-stride
+    # view holds one float. No server listens on port 1: the refusal comes first
+    img = np.broadcast_to(np.float32(0), (1, 2049, 2048))
+    with pytest.raises(ArgumentError, match="MAX_PAYLOAD_BYTES"):
+        run_session([(img, False)], PROF, CH, SHARP_FM, mode="socket", width=32,
+                    server_addr=("127.0.0.1", 1), connect_timeout_s=0.5)
+
+
 def test_socket_mode_quantizes_each_kept_image_once(monkeypatch):
     calls = []
     quantize8 = session.quantize8

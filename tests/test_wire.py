@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitwire.codec import dequantize, quantize8, quantize16
-from splitwire.errors import CodecError, ProtocolError, TransportError
+from splitwire.errors import ArgumentError, CodecError, ProtocolError, TransportError
 from splitwire.pipeline.wire import (
     MAGIC,
     MAX_NDIM,
+    MAX_PAYLOAD_BYTES,
     MsgType,
     WireMessage,
+    check_payload_fits,
     decode_message,
     detection_result_message,
     empty_result_message,
@@ -135,6 +137,14 @@ def test_scale_is_rounded_to_binary32_once():
 def test_tensor_payload_length_checked():
     with pytest.raises(ProtocolError):
         WireMessage(MsgType.QTENSOR16, (4,), 1.0, 0, b"\x00" * 7)
+
+
+@pytest.mark.parametrize("dims, width", [((MAX_PAYLOAD_BYTES,), 8), ((2048, 4096), 16),
+                                         ((2, 2048, 1024), 32)])
+def test_check_payload_fits_refuses_only_what_exceeds_the_cap(dims, width):
+    check_payload_fits(dims, width)  # exactly at the cap
+    with pytest.raises(ArgumentError, match="MAX_PAYLOAD_BYTES"):
+        check_payload_fits((*dims[:-1], dims[-1] + 1), width)
 
 
 def test_empty_result_must_be_empty():
