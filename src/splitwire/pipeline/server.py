@@ -153,7 +153,11 @@ class PipelineServer:
         if self.idle_timeout_s is not None:
             conn.settimeout(self.idle_timeout_s)
         try:
-            while not self._stop.is_set():
+            while True:
+                # stop() may land between a reply and the next read
+                if self._stop.is_set():
+                    stats.closed_reason = "stopped"
+                    break
                 msg = read_frame(conn)
                 if msg is None:
                     stats.closed_reason = "eof_or_idle"

@@ -41,7 +41,7 @@ from ..codec import dequantize, quantize8, quantize16
 from ..errors import ArgumentError, ProtocolError, TransportError
 from ..latency import ChannelModel, ExecutionProfile, transfer_time
 from ..tensor import Shape, random_fill
-from .filtergate import FilterModel
+from .filtergate import FilterModel, draw_labels
 from .wire import (MsgType, WireMessage, check_payload_fits, decode_message, encode_message,
                    recv_frame, tensor_digest, tensor_to_message, wire_header_bytes)
 
@@ -107,7 +107,7 @@ def stream_labels(n: int, p_empty: float, seed: int) -> np.ndarray:
     # label stream is kept distinct from the session's score stream so the
     # same seed can drive both without coupling them
     rng = np.random.default_rng([0x57F3A, seed])
-    return rng.random(n) < p_empty
+    return draw_labels(rng, n, p_empty)
 
 
 def make_stream(n: int, shape, p_empty: float, seed: int) -> list[tuple[np.ndarray, bool]]:

@@ -470,8 +470,9 @@ def test_filter_metrics_single_sample_runs(capsys, ref_path):
     assert "drop_rate" in capsys.readouterr().out
 
 
-# SHA-256 of the stdout of `filter-metrics --n 100000`, from the gate whose
-# rank AUC used a stable sort
+# SHA-256 of the stdout of `filter-metrics --n 100000`. They were taken when
+# the rank AUC argsorted the scores, and the sort of packed keys gives the
+# same bytes
 FILTER_METRICS_DIGESTS = {
     1: "ee61d223d75f2876b15cf32e7603d96461750fdbc250772deefae7aa0abf6522",
     2: "23b9f01361e334e36025608da5126fb67e00414e77d2d3dcaafdf94c3c896cbe",

@@ -1,12 +1,65 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitwire.errors import RangeError
-from splitwire.pipeline.filtergate import FilterModel, _rank_auc, gate_metrics
+from splitwire.pipeline.filtergate import (_BLOCK, FilterModel, GateMetrics, _rank_auc,
+                                           draw_labels, gate_metrics)
+
+# the whole-array kernels the blocked ones replaced, kept as oracles
+
+
+def whole_array_scores(fm, is_empty, rng):
+    mu = np.where(is_empty, fm.mu_empty, fm.mu_nonempty)
+    sigma = np.where(is_empty, fm.sigma_empty, fm.sigma_nonempty)
+    latent = rng.normal(mu, sigma)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-latent))
+
+
+def argsort_auc(scores, positive):
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    order = np.argsort(scores)
+    sorted_scores = scores[order]
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    pos_per_run = np.add.reduceat(positive[order].astype(np.int64), starts)
+    rank_sum = int(((starts + ends + 1) * pos_per_run).sum()) / 2
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def whole_array_gate_metrics(fm, n, seed):
+    rng = np.random.default_rng(seed)
+    is_empty = rng.random(n) < fm.p_empty
+    scores = whole_array_scores(fm, is_empty, rng)
+    dropped = fm.drops(scores)
+    nonempty = ~is_empty
+    n_nonempty = int(nonempty.sum())
+    recall = float((nonempty & ~dropped).sum() / n_nonempty) if n_nonempty else float("nan")
+    return GateMetrics(
+        drop_rate=float(dropped.mean()),
+        recall_nonempty=recall,
+        false_negative_rate=(1.0 - recall) if n_nonempty else float("nan"),
+        empirical_auc=argsort_auc(scores, nonempty),
+        n=n,
+    )
+
+
+# the four extreme models of test_scores_live_in_unit_interval
+EXTREME_MODELS = [
+    dict(mu_empty=-30.0, mu_nonempty=30.0, sigma_empty=5.0, sigma_nonempty=5.0),
+    dict(mu_empty=-1e308, mu_nonempty=1e308),
+    dict(mu_empty=1e308, mu_nonempty=-1e308, sigma_empty=1e308, sigma_nonempty=1e308),
+    dict(sigma_empty=1e308, sigma_nonempty=1e-300),
+]
+BLOCK_EDGES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]
 
 
 def test_score_below_threshold_drops():
@@ -122,12 +175,7 @@ def test_drop_probability_closed_form():
 def test_scores_live_in_unit_interval():
     # the gate compares raw scores, so no NaN or out-of-range score may reach
     # it: with finite means and sigmas a latent is finite or +-inf, never NaN
-    for kwargs in [
-        dict(mu_empty=-30.0, mu_nonempty=30.0, sigma_empty=5.0, sigma_nonempty=5.0),
-        dict(mu_empty=-1e308, mu_nonempty=1e308),
-        dict(mu_empty=1e308, mu_nonempty=-1e308, sigma_empty=1e308, sigma_nonempty=1e308),
-        dict(sigma_empty=1e308, sigma_nonempty=1e-300),
-    ]:
+    for kwargs in EXTREME_MODELS:
         rng = np.random.default_rng(5)
         scores = FilterModel(**kwargs).sample_scores(np.array([True, False] * 500), rng)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0), kwargs
@@ -147,3 +195,109 @@ def test_mean_separation_matches_auc_calibration():
     d = FilterModel().mu_nonempty - FilterModel().mu_empty
     auc = 0.5 * (1.0 + math.erf(d / math.sqrt(2.0) / math.sqrt(2.0)))
     assert auc == pytest.approx(0.919, abs=5e-4)
+
+
+# --- blocked kernels against the whole-array oracles ----------------------------
+
+_means = st.floats(-1e308, 1e308)
+_sigmas = st.floats(1e-300, 1e308)
+_models = st.one_of(
+    st.sampled_from(EXTREME_MODELS).map(lambda kw: FilterModel(**kw)),
+    st.builds(FilterModel, mu_empty=_means, mu_nonempty=_means,
+              sigma_empty=_sigmas, sigma_nonempty=_sigmas))
+_shapes = st.one_of(st.sampled_from(BLOCK_EDGES).map(lambda n: (n,)),
+                    st.just((2, _BLOCK + 3)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30)
+@given(_models, _shapes, st.integers(0, 2**32), st.floats(0.0, 1.0))
+def test_sample_scores_equal_the_whole_array_formula(fm, shape, seed, p_empty):
+    is_empty = np.random.default_rng(seed).random(shape) < p_empty
+    scores = fm.sample_scores(is_empty, np.random.default_rng([1, seed]))
+    want = whole_array_scores(fm, is_empty, np.random.default_rng([1, seed]))
+    assert scores.shape == shape
+    assert scores.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("p", [0.0, 0.46, 1.0])
+def test_labels_drawn_in_blocks_equal_one_draw(n, p):
+    rng, one = np.random.default_rng(n), np.random.default_rng(n)
+    assert np.array_equal(draw_labels(rng, n, p), one.random(n) < p)
+    # and the generator is left where one draw leaves it
+    assert rng.random() == one.random()
+
+
+@pytest.mark.parametrize("n", [3, 999] + BLOCK_EDGES[1:])
+@pytest.mark.parametrize("model", [{}, dict(threshold=0.0), dict(p_empty=0.0)]
+                         + EXTREME_MODELS, ids=str)
+def test_gate_metrics_equal_the_whole_array_gate(model, n):
+    fm = FilterModel(**model)
+    for seed in (0, 1):
+        got, want = gate_metrics(fm, n, seed), whole_array_gate_metrics(fm, n, seed)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("levels", [1, 3, 1000, None])
+def test_rank_auc_equals_the_argsort_oracle_across_blocks(n, levels):
+    # few levels tie most pairs, and the tied runs straddle block edges;
+    # None is continuous scores; level 0 and the top level are exact 0.0 and 1.0
+    rng = np.random.default_rng(n)
+    scores = rng.random(n) if levels is None else rng.integers(0, levels + 1, n) / levels
+    for p in (0.1, 0.5, 0.9):
+        positive = rng.random(n) < p
+        want = argsort_auc(scores, positive)
+        assert repr(_rank_auc(scores.copy(), positive)) == repr(want)
+
+
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0).map(abs)),
+                          st.booleans()), min_size=1, max_size=60))
+def test_rank_auc_equals_the_argsort_oracle_with_exact_zeros_and_ones(rows):
+    scores = np.array([s for s, _ in rows])
+    positive = np.array([p for _, p in rows])
+    want = argsort_auc(scores, positive)
+    assert repr(_rank_auc(scores, positive)) == repr(want)
+
+
+@pytest.mark.parametrize("scores, positive, auc", [
+    ([0.0, 1.0], [False, True], 1.0),
+    ([0.0, 1.0], [True, False], 0.0),
+    ([0.0, 0.0, 0.0], [True, False, True], 0.5),
+    ([1.0, 1.0, 0.0], [True, False, True], 0.25),
+    ([0.0, 0.0, 1.0, 1.0], [False, True, False, True], 0.5),
+    ([0.0, 0.5, 1.0, 1.0, 0.0], [False, False, True, True, True], 0.75),
+])
+def test_rank_auc_with_exact_zero_and_one_scores(scores, positive, auc):
+    assert _rank_auc(np.array(scores), np.array(positive)) == auc
+
+
+@pytest.mark.parametrize("n_neg", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_rank_auc_counts_a_tied_run_across_a_block_edge(n_neg):
+    # every score ties; sorted, the last negative sits at a block edge
+    positive = np.arange(2 * _BLOCK + 7) >= n_neg
+    assert _rank_auc(np.ones(positive.size), positive) == 0.5
+
+
+def test_rank_auc_sorts_the_keys_in_the_scores_buffer():
+    # a key is the score's bits shifted left by one, the label in the low bit
+    scores = np.array([1.0, 0.5, 0.0])
+    auc = _rank_auc(scores, np.array([True, False, True]))
+    assert auc == 0.5
+    assert scores.view(np.uint64).tolist() == [1, 0x3FE0000000000000 << 1,
+                                               0x3FF0000000000000 << 1 | 1]
+
+
+def test_gate_metrics_memory_is_about_ten_bytes_per_sample():
+    # labels, scores that become the sort keys, and a drop mask; the
+    # argsort/reduceat gate peaked at 59 bytes per sample
+    n = 1_000_000
+    gate_metrics(FilterModel(), n=_BLOCK + 1, seed=1)
+    tracemalloc.start()
+    try:
+        gate_metrics(FilterModel(), n=n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * n

@@ -240,6 +240,11 @@ def test_handler_that_cannot_start_costs_one_connection(monkeypatch):
         log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket", seed=33,
                           server_addr=srv.address, connect_timeout_s=2.0)
         assert len(log.records) == 2
+        # the session's handler reads its EOF before stop(), which could
+        # otherwise land first and end the connection as "stopped"
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not srv.stats[-1].closed_reason:
+            time.sleep(0.01)
     finally:
         srv.stop()
     assert srv._live == set()
@@ -247,6 +252,30 @@ def test_handler_that_cannot_start_costs_one_connection(monkeypatch):
     # the lost connection is in the stats, beside the session's own
     assert [s.closed_reason for s in srv.stats] == [
         "no handler thread: can't start new thread", "eof_or_idle"]
+
+
+def test_stop_during_a_reply_records_why_the_connection_ended(monkeypatch):
+    # a stop() that landed after a reply and before the next read ended the
+    # handler's loop with no closed_reason
+    t = make_stream(1, [3, 5, 5], 0.0, seed=34)[0][0]
+    srv = PipelineServer(prof=PROF)
+    real_respond = srv._respond
+
+    def respond_then_stop(msg, stats):
+        reply = real_respond(msg, stats)
+        srv._stop.set()  # the first thing stop() does
+        return reply
+
+    monkeypatch.setattr(srv, "_respond", respond_then_stop)
+    srv.start()
+    try:
+        with socket.create_connection(srv.address, timeout=5.0) as sock:
+            sock.sendall(encode_message(quantize8(t)))
+            assert read_frame(sock).msg_type is MsgType.DETECTION_RESULT
+            assert sock.recv(1) == b""  # the handler ends without a further read
+    finally:
+        srv.stop()
+    assert [s.closed_reason for s in srv.stats] == ["stopped"]
 
 
 def test_bind_failure_raises_transport_error():
