@@ -316,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the tail-side server (blocking)")
     add_config(p)
     p.add_argument("--addr", required=True, help="bind address HOST:PORT")
-    p.add_argument("--idle-timeout", type=float, default=None)
+    p.add_argument("--idle-timeout", type=float, default=10.0,
+                   help="close a connection silent for this many seconds (default 10), "
+                        "so stalled peers cannot hold every handler thread")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client", help="run a head-side session and write its log")

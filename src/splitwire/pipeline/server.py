@@ -4,10 +4,13 @@ The tail computation is a stub that charges virtual time, which is all the
 delay model needs: t_tail per tensor frame and, for a JPEG frame, which the
 full model handles, t_edge_full. Each tensor frame is dequantized and
 answered with a DETECTION_RESULT whose payload is the SHA-256 digest of the
-dequantized tensor, so clients can verify bit-exact transport. A malformed
-frame closes only that connection, and a failed accept or a handler thread
-that cannot start costs at most one connection; the server keeps serving
-until stop().
+dequantized tensor, so clients can verify bit-exact transport.
+
+start() starts a fixed set of HANDLERS threads that take turns at accept(),
+each serving one connection at a time; peers beyond them wait in the listen
+backlog, and an idle timeout frees the handlers that stalled peers hold. A
+malformed frame closes only that connection and a failed accept is retried;
+the server keeps serving until stop().
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ __all__ = ["ConnectionStats", "PipelineServer", "serve"]
 
 log = logging.getLogger(__name__)
 
+HANDLERS = 8
+
 
 @dataclass
 class ConnectionStats:
@@ -62,13 +67,11 @@ class PipelineServer:
         if t is not None and not (math.isfinite(t) and t > 0):
             raise ArgumentError(f"idle_timeout_s must be None or finite and > 0, got {t}")
         self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
+        self._handlers: list[threading.Thread] = []
         self._stop = threading.Event()
+        self._accept_lock = threading.Lock()
         self._lock = threading.Lock()
         self._live: set[socket.socket] = set()
-        # a handler leaves _live before it closes its socket and ends, so
-        # stop() joins every handler that may still run, not only the live ones
-        self._handlers: list[threading.Thread] = []
 
     @property
     def address(self) -> tuple[str, int]:
@@ -89,27 +92,31 @@ class PipelineServer:
             raise TransportError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
         listener.settimeout(0.2)
         self._listener = listener
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        for _ in range(HANDLERS):
+            handler = threading.Thread(target=self._handler_loop, daemon=True)
+            try:
+                handler.start()
+            except RuntimeError as exc:
+                self.stop()
+                raise TransportError(f"cannot start handler threads: {exc}") from exc
+            self._handlers.append(handler)
         return self
 
     def stop(self) -> None:
-        """Stop accepting, end every live connection and join its handler."""
+        """Stop accepting, end every live connection and join the handlers."""
         self._stop.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
         with self._lock:
             for conn in self._live:
                 try:
                     conn.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
-            handlers = list(self._handlers)
-        for handler in handlers:
+        for handler in self._handlers:
             handler.join(timeout=5.0)
+        # closed last, so no handler is in accept() on a closed socket
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
 
     def __enter__(self) -> "PipelineServer":
         return self.start()
@@ -117,34 +124,25 @@ class PipelineServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _accept_loop(self) -> None:
-        # only stop() ends the loop: an accept error such as EMFILE, or a
-        # handler thread that cannot start, costs at most one connection
-        while not self._stop.is_set():
-            try:
-                conn, peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError as exc:
-                log.warning("accept failed, retrying: %s", exc)
-                self._stop.wait(0.2)
-                continue
-            handler = threading.Thread(target=self._handle, args=(conn, peer),
-                                       daemon=True)
+    def _handler_loop(self) -> None:
+        # only stop() ends the loop: an accept error such as EMFILE is
+        # retried, and _handle turns every error a frame can cause into a
+        # closed_reason, because a handler that died would not be replaced
+        while True:
+            with self._accept_lock:
+                if self._stop.is_set():
+                    return
+                try:
+                    conn, peer = self._listener.accept()
+                except socket.timeout:
+                    continue
+                except OSError as exc:
+                    log.warning("accept failed, retrying: %s", exc)
+                    self._stop.wait(0.2)
+                    continue
             with self._lock:
                 self._live.add(conn)
-                self._handlers = [h for h in self._handlers if h.is_alive()]
-                self._handlers.append(handler)
-            try:
-                handler.start()
-            except RuntimeError as exc:
-                log.warning("closing %s, no handler thread: %s", peer, exc)
-                with self._lock:
-                    self._live.remove(conn)
-                    self._handlers.remove(handler)
-                    self.stats.append(ConnectionStats(
-                        peer, closed_reason=f"no handler thread: {exc}"))
-                conn.close()
+            self._handle(conn, peer)
 
     def _handle(self, conn: socket.socket, peer) -> None:
         stats = ConnectionStats(peer)
@@ -204,10 +202,7 @@ def serve(host: str, port: int, prof: ExecutionProfile | None = None,
     server = PipelineServer(host, port, prof, idle_timeout_s=idle_timeout_s).start()
     print("serving on %s:%d" % server.address, flush=True)
     try:
-        while True:
-            server._accept_thread.join(timeout=1.0)
-            if not server._accept_thread.is_alive():
-                break
+        threading.Event().wait()  # until Ctrl-C raises KeyboardInterrupt
     except KeyboardInterrupt:
         pass
     finally:

@@ -71,7 +71,6 @@ class ImageRecord:
 
 @dataclass
 class SessionLog:
-    mode: str
     records: list[ImageRecord]
 
     @property
@@ -228,7 +227,7 @@ def run_session(images: list[tuple[np.ndarray, bool]], prof: ExecutionProfile,
     finally:
         if sock is not None:
             sock.close()
-    return SessionLog(mode, records)
+    return SessionLog(records)
 
 
 def _socket_round_trip(sock, bucket, frame: bytes, q: WireMessage,

@@ -9,11 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
+from splitwire import cli
 from splitwire.codec import dequantize, quantize8
 from splitwire.errors import ArgumentError, TransportError
 from splitwire.latency import ChannelModel, ExecutionProfile
 from splitwire.pipeline.filtergate import FilterModel
-from splitwire.pipeline.server import PipelineServer
+from splitwire.pipeline.server import HANDLERS, PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
 from splitwire.pipeline.wire import (
     MsgType,
@@ -217,41 +218,82 @@ def test_accept_error_does_not_end_the_server(monkeypatch):
     assert len(log.records) == 2
 
 
-def test_handler_that_cannot_start_costs_one_connection(monkeypatch):
-    # a failed Thread.start ended the accept thread, and left an unstarted
-    # handler that stop() then failed to join
-    failed = threading.Event()
+def test_a_handler_that_cannot_start_fails_start_cleanly(monkeypatch, capsys):
+    # a failed Thread.start escaped start() as RuntimeError, leaked the bound
+    # listener, and ended `serve` with a traceback instead of an exit code
+    starts = []
     real_start = threading.Thread.start
 
-    def start_fails_once(thread):
-        if sys._getframe(1).f_code.co_name == "_accept_loop" and not failed.is_set():
-            failed.set()
+    def third_start_fails(thread):
+        starts.append(thread)
+        if len(starts) == 3:
             raise RuntimeError("can't start new thread")
         real_start(thread)
 
-    monkeypatch.setattr(threading.Thread, "start", start_fails_once)
+    monkeypatch.setattr(threading.Thread, "start", third_start_fails)
+    before = set(threading.enumerate())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TransportError, match="can't start new thread"):
+            PipelineServer(prof=PROF).start()
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+    starts.clear()
+    assert cli.main(["serve", "--addr", "127.0.0.1:0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot start handler threads")
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not predicate():
+        time.sleep(0.01)
+    return predicate()
+
+
+def test_idle_peers_beyond_the_handlers_wait_in_the_backlog():
+    # with a thread per connection, 12 idle peers held 13 server threads
     before = set(threading.enumerate())
     srv = PipelineServer(prof=PROF).start()
     try:
-        with socket.create_connection(srv.address, timeout=2.0) as first:
-            assert first.recv(1) == b""  # closed, not left hanging
-        assert failed.is_set()
-        images = make_stream(2, [3, 4, 4], 0.0, seed=32)
-        log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket", seed=33,
+        peers = [socket.create_connection(srv.address, timeout=2.0)
+                 for _ in range(HANDLERS + 4)]
+        try:
+            assert _wait_for(lambda: len(srv.stats) >= HANDLERS)
+            time.sleep(0.1)  # room for any further accept
+            assert len(srv.stats) == HANDLERS
+            assert len([t for t in threading.enumerate() if t not in before]) <= HANDLERS
+        finally:
+            for peer in peers:
+                peer.close()
+        images = make_stream(2, [3, 4, 4], 0.0, seed=40)
+        log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket", seed=41,
                           server_addr=srv.address, connect_timeout_s=2.0)
         assert len(log.records) == 2
-        # the session's handler reads its EOF before stop(), which could
-        # otherwise land first and end the connection as "stopped"
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and not srv.stats[-1].closed_reason:
-            time.sleep(0.01)
     finally:
         srv.stop()
-    assert srv._live == set()
     assert [t for t in threading.enumerate() if t not in before] == []
-    # the lost connection is in the stats, beside the session's own
-    assert [s.closed_reason for s in srv.stats] == [
-        "no handler thread: can't start new thread", "eof_or_idle"]
+
+
+def test_a_session_behind_stalled_peers_is_served_once_they_time_out():
+    images = make_stream(2, [3, 4, 4], 0.0, seed=42)
+    with PipelineServer(prof=PROF, idle_timeout_s=0.3) as srv:
+        peers = [socket.create_connection(srv.address, timeout=2.0)
+                 for _ in range(HANDLERS)]
+        try:
+            assert _wait_for(lambda: len(srv.stats) == HANDLERS)
+            log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket", seed=43,
+                              server_addr=srv.address, connect_timeout_s=2.0)
+        finally:
+            for peer in peers:
+                peer.close()
+    assert len(log.records) == 2
+    assert [s.closed_reason for s in srv.stats[:HANDLERS]] == ["eof_or_idle"] * HANDLERS
+    assert srv.stats[HANDLERS].frames == 2
 
 
 def test_stop_during_a_reply_records_why_the_connection_ended(monkeypatch):
