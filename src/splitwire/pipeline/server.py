@@ -6,11 +6,20 @@ full model handles, t_edge_full. Each tensor frame is dequantized and
 answered with a DETECTION_RESULT whose payload is the SHA-256 digest of the
 dequantized tensor, so clients can verify bit-exact transport.
 
-start() starts a fixed set of HANDLERS threads that take turns at accept(),
-each serving one connection at a time; peers beyond them wait in the listen
+start() starts a fixed set of HANDLERS threads, each serving one connection at
+a time, as leader and followers: one idle handler, the leader, blocks in
+accept(), and every other idle handler waits on its own slot. The leader hands
+each connection to the most recently idle follower and goes back to accept();
+with no follower idle it serves the connection itself, and the next handler to
+go idle leads. So connections that come one at a time all land on one thread
+and its warm malloc arena. Peers beyond the handlers wait in the listen
 backlog, and an idle timeout frees the handlers that stalled peers hold. A
 malformed frame closes only that connection and a failed accept is retried;
-the server keeps serving until stop().
+the server keeps serving until stop(), which wakes the leader at once.
+
+Each connection's closed_reason says how it ended: "eof" (the peer closed
+between frames), "idle_timeout", "stopped", "protocol_error: ..." or
+"transport: ...".
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import queue
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -69,9 +79,11 @@ class PipelineServer:
         self._listener: socket.socket | None = None
         self._handlers: list[threading.Thread] = []
         self._stop = threading.Event()
-        self._accept_lock = threading.Lock()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards _live, _idle, _leading and stats
         self._live: set[socket.socket] = set()
+        # followers' slots, the most recently idle last
+        self._idle: list[queue.SimpleQueue] = []
+        self._leading = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -90,7 +102,6 @@ class PipelineServer:
             if listener is not None:
                 listener.close()
             raise TransportError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
-        listener.settimeout(0.2)
         self._listener = listener
         for _ in range(HANDLERS):
             handler = threading.Thread(target=self._handler_loop, daemon=True)
@@ -103,9 +114,24 @@ class PipelineServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, end every live connection and join the handlers."""
-        self._stop.set()
+        """Stop accepting, end every live connection and join the handlers.
+
+        The leader is woken from accept() by shutdown() of the listening
+        socket, which makes a blocked accept() fail at once on Linux. BSD and
+        macOS refuse that shutdown with ENOTCONN, so there the leader stays in
+        accept() and stop() returns only after its 5 s join timeout.
+        """
         with self._lock:
+            # under the lock, so no handler becomes a follower after this
+            self._stop.set()
+            for slot in self._idle:
+                slot.put(None)
+            self._idle.clear()
+            if self._listener is not None:
+                try:
+                    self._listener.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
             for conn in self._live:
                 try:
                     conn.shutdown(socket.SHUT_RDWR)
@@ -125,24 +151,42 @@ class PipelineServer:
         self.stop()
 
     def _handler_loop(self) -> None:
-        # only stop() ends the loop: an accept error such as EMFILE is
-        # retried, and _handle turns every error a frame can cause into a
-        # closed_reason, because a handler that died would not be replaced
+        # only stop() ends the loop: _handle turns every error a frame can
+        # cause into a closed_reason, because a handler that died would not
+        # be replaced
+        slot: queue.SimpleQueue = queue.SimpleQueue()
         while True:
-            with self._accept_lock:
+            with self._lock:
                 if self._stop.is_set():
                     return
-                try:
-                    conn, peer = self._listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError as exc:
-                    log.warning("accept failed, retrying: %s", exc)
-                    self._stop.wait(0.2)
-                    continue
+                follow = self._leading
+                if follow:
+                    self._idle.append(slot)
+                else:
+                    self._leading = True
+            work = slot.get() if follow else self._lead()
+            if work is None:
+                return
+            self._handle(*work)
+
+    def _lead(self) -> tuple[socket.socket, tuple] | None:
+        """Accept and hand out connections; return one to serve, or None at stop()."""
+        while True:
+            try:
+                conn, peer = self._listener.accept()
+            except OSError as exc:
+                if self._stop.is_set():
+                    return None
+                # such as EMFILE: retried, since the leader must not die
+                log.warning("accept failed, retrying: %s", exc)
+                self._stop.wait(0.2)
+                continue
             with self._lock:
                 self._live.add(conn)
-            self._handle(conn, peer)
+                if not self._idle:
+                    self._leading = False
+                    return conn, peer
+                self._idle.pop().put((conn, peer))
 
     def _handle(self, conn: socket.socket, peer) -> None:
         stats = ConnectionStats(peer)
@@ -158,14 +202,14 @@ class PipelineServer:
                     break
                 msg = read_frame(conn)
                 if msg is None:
-                    stats.closed_reason = "eof_or_idle"
+                    stats.closed_reason = "eof"
                     break
                 stats.frames += 1
                 stats.bytes_received += msg.header_bytes + len(msg.payload)
                 reply = self._respond(msg, stats)
                 conn.sendall(encode_message(reply))
         except socket.timeout:
-            stats.closed_reason = "eof_or_idle"
+            stats.closed_reason = "idle_timeout"
         except (ProtocolError, CodecError) as exc:
             stats.protocol_errors += 1
             stats.closed_reason = f"protocol_error: {exc}"

@@ -1,5 +1,7 @@
 import errno
 import gc
+import os
+import queue
 import socket
 import sys
 import threading
@@ -29,6 +31,7 @@ PROF = ExecutionProfile(t_local=2.0, t_edge_full=0.05, t_head=0.08,
 FAST = ChannelModel(500e6)
 KEEP_ALL = FilterModel(threshold=0.1, p_empty=0.0, mu_nonempty=30.0,
                        sigma_nonempty=0.1)
+FRAME = encode_message(quantize8(make_stream(1, [3, 4, 4], 0.0, seed=44)[0][0]))
 
 
 @pytest.mark.parametrize("width", [8, 16, 32])
@@ -117,7 +120,7 @@ def test_idle_timeout_closes_cleanly():
             if srv.stats and srv.stats[0].closed_reason:
                 break
             time.sleep(0.01)
-        assert srv.stats[0].closed_reason == "eof_or_idle"
+        assert srv.stats[0].closed_reason == "idle_timeout"
         assert srv.stats[0].protocol_errors == 0
 
 
@@ -288,12 +291,124 @@ def test_a_session_behind_stalled_peers_is_served_once_they_time_out():
             assert _wait_for(lambda: len(srv.stats) == HANDLERS)
             log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket", seed=43,
                               server_addr=srv.address, connect_timeout_s=2.0)
+            # closed only once timed out, so none of them ends at our close
+            assert _wait_for(lambda: all(s.closed_reason for s in srv.stats[:HANDLERS]))
         finally:
             for peer in peers:
                 peer.close()
     assert len(log.records) == 2
-    assert [s.closed_reason for s in srv.stats[:HANDLERS]] == ["eof_or_idle"] * HANDLERS
+    assert [s.closed_reason for s in srv.stats[:HANDLERS]] == ["idle_timeout"] * HANDLERS
     assert srv.stats[HANDLERS].frames == 2
+
+
+def _spy_on_handler_threads(monkeypatch) -> queue.SimpleQueue:
+    # the ident of the thread that ran each _handle, put once it returned
+    served = queue.SimpleQueue()
+    real_handle = PipelineServer._handle
+
+    def handle(self, conn, peer):
+        try:
+            real_handle(self, conn, peer)
+        finally:
+            served.put(threading.get_ident())
+
+    monkeypatch.setattr(PipelineServer, "_handle", handle)
+    return served
+
+
+def test_one_at_a_time_connections_stay_on_one_handler(monkeypatch):
+    # handed out in FIFO turns at accept(), one connection at a time rotated
+    # through all 8 handlers, so every image met a cold malloc arena
+    served = _spy_on_handler_threads(monkeypatch)
+    threads = []
+    with PipelineServer(prof=PROF) as srv:
+        for _ in range(64):
+            with socket.create_connection(srv.address, timeout=5.0) as sock:
+                sock.sendall(FRAME)
+                assert read_frame(sock).msg_type is MsgType.DETECTION_RESULT
+            threads.append(served.get(timeout=5.0))
+    # the first may come before the followers wait, and go to the leader
+    assert len(set(threads[1:])) == 1
+
+
+def test_as_many_concurrent_peers_as_handlers_are_served_at_once(monkeypatch):
+    # the last peer finds no idle follower, so the leader serves it itself
+    served = _spy_on_handler_threads(monkeypatch)
+    before = set(threading.enumerate())
+    srv = PipelineServer(prof=PROF).start()
+    try:
+        peers = [socket.create_connection(srv.address, timeout=2.0)
+                 for _ in range(HANDLERS)]
+        try:
+            for peer in peers:
+                peer.sendall(FRAME)
+            for peer in peers:
+                assert read_frame(peer).msg_type is MsgType.DETECTION_RESULT
+            assert len(srv.stats) == HANDLERS
+            assert not any(s.closed_reason for s in srv.stats)
+            assert len([t for t in threading.enumerate() if t not in before]) <= HANDLERS
+        finally:
+            for peer in peers:
+                peer.close()
+        assert len({served.get(timeout=5.0) for _ in range(HANDLERS)}) == HANDLERS
+        # a handler that went idle took the lead again
+        images = make_stream(2, [3, 4, 4], 0.0, seed=45)
+        log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket", seed=46,
+                          server_addr=srv.address, connect_timeout_s=2.0)
+        assert len(log.records) == 2
+    finally:
+        srv.stop()
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_hand_off_under_contention_serves_every_connection():
+    # more peers than handlers and cores, with threads switched as often as
+    # they can be: a lost update to the idle slots or the leader flag would
+    # leave a connection unserved, or the idle server with no single leader
+    peers, rounds = HANDLERS + 4, 10
+    errors = []
+
+    def peer(addr):
+        try:
+            for _ in range(rounds):
+                with socket.create_connection(addr, timeout=5.0) as sock:
+                    sock.sendall(FRAME)
+                    assert read_frame(sock).msg_type is MsgType.DETECTION_RESULT
+        except (OSError, AssertionError) as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with PipelineServer(prof=PROF) as srv:
+            clients = [threading.Thread(target=peer, args=(srv.address,))
+                       for _ in range(peers)]
+            for c in clients:
+                c.start()
+            for c in clients:
+                c.join(timeout=30.0)
+            assert not any(c.is_alive() for c in clients)
+            assert errors == []
+            assert _wait_for(lambda: len(srv._idle) == HANDLERS - 1)
+            assert srv._leading
+            assert len(srv.stats) == peers * rounds
+            assert {(s.frames, s.closed_reason) for s in srv.stats} == {(1, "eof")}
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+def test_stop_of_an_idle_server_is_immediate():
+    # stop() waited out the 0.2 s accept poll: 20 cycles took ~4 s
+    before = set(threading.enumerate())
+    fds = len(os.listdir("/proc/self/fd"))
+    start = time.perf_counter()
+    for _ in range(20):
+        PipelineServer(prof=PROF).start().stop()
+    assert time.perf_counter() - start < 1.0
+    assert [t for t in threading.enumerate() if t not in before] == []
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_stop_during_a_reply_records_why_the_connection_ended(monkeypatch):

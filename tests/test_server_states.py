@@ -77,7 +77,7 @@ class ServerUnderPeers(RuleBasedStateMachine):
     def _pick(self, i: int) -> Client | None:
         now = time.monotonic()
         for c in [c for c in self.active if now - c.last_sent > FRESH_S]:
-            c.closed_reason = "eof_or_idle"
+            c.closed_reason = "idle_timeout"
             self.active.remove(c)
             self.stalled.append(c)
         return self.active[i % len(self.active)] if self.active else None
@@ -150,7 +150,7 @@ class ServerUnderPeers(RuleBasedStateMachine):
         if c is None:
             return
         c.sock.sendall(FRAME[:cut])
-        c.closed_reason = "eof_or_idle"
+        c.closed_reason = "idle_timeout"
         self.active.remove(c)
         self.stalled.append(c)
 
@@ -160,7 +160,7 @@ class ServerUnderPeers(RuleBasedStateMachine):
         c = self._pick(i)
         if c is None:
             return
-        self._end(c, "eof_or_idle")
+        self._end(c, "eof")
         c.sock.close()
 
     @invariant()
@@ -170,13 +170,14 @@ class ServerUnderPeers(RuleBasedStateMachine):
             c.sock.sendall(FRAME)
             assert read_frame(c.sock).payload == DIGEST
         c.frames = 1
-        c.closed_reason = "eof_or_idle"
+        c.closed_reason = "eof"
         self.ended.append(c)
 
     def teardown(self):
         try:
+            self._pick(0)  # a client silent for over FRESH_S may be timed out
             for c in list(self.active):
-                self._end(c, "eof_or_idle")
+                self._end(c, "eof")
                 c.sock.close()
             clients = self.ended + self.stalled
             deadline = time.monotonic() + 5.0
