@@ -461,28 +461,26 @@ _CFG_BNECK = TrainConfig(epochs=500, batch_size=8, lr0=0.02,
                          lr_decay_factor=0.2, decay_epochs=(60, 120, 200), seed=0)
 
 
-def _build_fixture(name: str, cfg: TrainConfig) -> LinearFixture:
-    if name == "rank2_full":
-        # bottleneck width 3 >= teacher rank 2: achievable loss is zero
-        return _single_tap_fixture(name, m=4, n=5, rank=2, width=3,
-                                   n_samples=32, base_seed=11, cfg=cfg)
-    if name == "rank3_bneck1":
-        # width 1 < rank 3: converges to the Eckart-Young floor
-        return _single_tap_fixture(name, m=5, n=6, rank=3, width=1,
-                                   n_samples=32, base_seed=23, cfg=cfg)
-    if name == "rank4_bneck2":
-        return _single_tap_fixture(name, m=6, n=8, rank=4, width=2,
-                                   n_samples=40, base_seed=37, cfg=cfg)
-    raise ArgumentError(f"unknown fixture {name!r}; available: {fixture_names()}")
+# each fixture's teacher (m x n, of the given rank), student bottleneck width,
+# sample count, base seed and training config
+_FIXTURES = {
+    # bottleneck width 3 >= teacher rank 2: achievable loss is zero
+    "rank2_full": (4, 5, 2, 3, 32, 11, _CFG_FULL),
+    # width 1 < rank 3: converges to the Eckart-Young floor
+    "rank3_bneck1": (5, 6, 3, 1, 32, 23, _CFG_BNECK),
+    "rank4_bneck2": (6, 8, 4, 2, 40, 37, _CFG_BNECK),
+}
 
 
 def fixture_names() -> list[str]:
-    return ["rank2_full", "rank3_bneck1", "rank4_bneck2"]
+    return list(_FIXTURES)
 
 
 def get_fixture(name: str, epochs: int | None = None,
                 seed: int | None = None) -> LinearFixture:
-    cfg = _CFG_FULL if name == "rank2_full" else _CFG_BNECK
+    if name not in _FIXTURES:
+        raise ArgumentError(f"unknown fixture {name!r}; available: {fixture_names()}")
+    *sizes, cfg = _FIXTURES[name]
     if epochs is not None:
         scale = epochs / cfg.epochs
         decay = tuple(d for d in (max(1, round(e * scale)) for e in cfg.decay_epochs)
@@ -490,4 +488,4 @@ def get_fixture(name: str, epochs: int | None = None,
         cfg = replace(cfg, epochs=epochs, decay_epochs=decay)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    return _build_fixture(name, cfg)
+    return _single_tap_fixture(name, *sizes, cfg)

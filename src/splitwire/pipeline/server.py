@@ -68,7 +68,7 @@ class PipelineServer:
     port: int = 0
     prof: ExecutionProfile | None = None
     idle_timeout_s: float | None = None
-    stats: list[ConnectionStats] = field(default_factory=list)
+    stats: list[ConnectionStats] = field(default_factory=list, init=False)
 
     def __post_init__(self):
         # checked here: a handler thread would die on a bad timeout before it

@@ -18,14 +18,13 @@ elements little-endian. The header is at most 55 bytes (ndim <= 8), inside
 the fixed 64-byte budget. decode_message is total: any byte string either
 yields a valid message or raises ProtocolError.
 
-recv_frame reads one frame off a stream. It checks magic, version and ndim
-as soon as the 7-byte prefix is in, with the same check decode_message
-uses, and asks the socket for at most 1 MiB per recv, so the memory a
-frame takes grows only with the bytes that really arrived. Before any
-payload it checks payload_len: at most MAX_PAYLOAD_BYTES, and for a tensor
-type exactly the length its dims and element width give WireMessage.
-check_payload_fits refuses, before anything is built or sent, a tensor whose
-payload would exceed that cap.
+recv_frame reads one frame off a stream into one fresh bytearray, asking
+for at most 1 MiB per recv and holding at most 1 MiB past the bytes that
+arrived. It checks magic, version and ndim once the 7-byte prefix is in,
+and before any payload it checks payload_len with decode_message's header
+parser, and against MAX_PAYLOAD_BYTES. decode_message copies no payload: a
+decoded payload is a read-only memoryview of the frame. check_payload_fits
+refuses, before anything is built or sent, a tensor over that cap.
 
 WireMessage is the one record of a tensor on the wire, as the codec's
 quantizers return it: it owns the payload-length rule and the scale's
@@ -43,7 +42,7 @@ import hashlib
 import math
 import socket
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -84,6 +83,7 @@ MAX_PAYLOAD_BYTES = 1 << 24
 _PREFIX = struct.Struct(">4sBBB")
 _TRAILER = struct.Struct(">fiQ")
 _RECV_CHUNK = 1 << 20
+_ZEROS = memoryview(bytes(_RECV_CHUNK))  # recv_frame grows by it; its pages stay unwritten
 
 
 def wire_header_bytes(ndim: int) -> int:
@@ -123,11 +123,14 @@ def check_payload_fits(dims, width: int) -> None:
 
 @dataclass(frozen=True)
 class WireMessage:
+    """One frame's message. Its payload is bytes as constructed, a read-only
+    memoryview from decode_message; it hashes without it, as a view may not."""
+
     msg_type: MsgType
     dims: tuple[int, ...] = ()
     scale: float = 0.0
     zero_point: int = 0
-    payload: bytes = b""
+    payload: bytes | memoryview = field(default=b"", hash=False)
 
     def __post_init__(self):
         try:
@@ -215,40 +218,49 @@ def _check_prefix(data: bytes) -> tuple[int, int]:
     return msg_type, ndim
 
 
-def decode_message(data: bytes) -> WireMessage:
-    """Parse one complete frame; trailing bytes are a protocol violation."""
+def _parse_header(data) -> tuple[int, tuple[int, ...], float, int, int, int]:
+    """msg_type, dims, scale, zero_point, payload_len and header length of the header
+    ``data`` starts with, or ProtocolError; a tensor's payload_len must fit its dims."""
     if len(data) < _PREFIX.size:
         raise ProtocolError(f"truncated frame: {len(data)} bytes")
     msg_type, ndim = _check_prefix(data)
-    off = _PREFIX.size
-    need = 4 * ndim + _TRAILER.size
-    if len(data) < off + need:
+    end = wire_header_bytes(ndim)
+    if len(data) < end:
         raise ProtocolError("truncated header")
-    dims = struct.unpack_from(f">{ndim}I", data, off) if ndim else ()
-    off += 4 * ndim
-    scale, zero_point, payload_len = _TRAILER.unpack_from(data, off)
-    off += _TRAILER.size
-    if len(data) - off != payload_len:
-        raise ProtocolError(
-            f"payload_len {payload_len} does not match {len(data) - off} "
-            "remaining bytes"
-        )
-    return WireMessage(msg_type, dims, scale, zero_point, data[off:])
+    dims = struct.unpack_from(f">{ndim}I", data, _PREFIX.size) if ndim else ()
+    scale, zero_point, payload_len = _TRAILER.unpack_from(data, end - _TRAILER.size)
+    width = ELEMENT_BITS.get(msg_type)
+    if width and payload_len != _tensor_payload_bytes(width, dims):
+        raise ProtocolError(f"payload_len {payload_len} does not fit "
+                            f"{MsgType(msg_type).name} dims {dims}")
+    return msg_type, dims, scale, zero_point, payload_len, end
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n:
-        chunk = sock.recv(min(n, _RECV_CHUNK))
-        if not chunk:
+def decode_message(data) -> WireMessage:
+    """Parse one complete frame; trailing bytes are a protocol violation. The
+    payload is a read-only memoryview of ``data``: do not change it meanwhile."""
+    *fields, payload_len, end = _parse_header(data)
+    if len(data) - end != payload_len:
+        raise ProtocolError(f"payload_len {payload_len} does not match "
+                            f"{len(data) - end} remaining bytes")
+    return WireMessage(*fields, memoryview(data).toreadonly()[end:])
+
+
+def _recv_into(sock: socket.socket, frame: bytearray, n: int) -> None:
+    """Read off ``sock`` until ``frame`` holds ``n`` bytes. It grows a chunk at
+    a time once the last is full, with no view of it left to block the resize."""
+    got = len(frame)
+    while got < n:
+        if got == len(frame):
+            frame += _ZEROS[:n - got]  # at most _RECV_CHUNK bytes
+        k = sock.recv_into(memoryview(frame)[got:])
+        if not k:
             raise TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
+        got += k
 
 
-def recv_frame(sock: socket.socket) -> bytes | None:
-    """The bytes of one frame read off a stream; None on a clean end-of-stream.
+def recv_frame(sock: socket.socket) -> bytearray | None:
+    """One frame read off a stream, in a fresh bytearray; None at end-of-stream.
 
     A socket timeout propagates as ``socket.timeout``, also before the first
     byte, so a slow peer is not mistaken for a closed one.
@@ -256,18 +268,14 @@ def recv_frame(sock: socket.socket) -> bytes | None:
     first = sock.recv(_PREFIX.size)
     if not first:
         return None
-    prefix = first + _recv_exact(sock, _PREFIX.size - len(first))
-    msg_type, ndim = _check_prefix(prefix)
-    rest = _recv_exact(sock, 4 * ndim + _TRAILER.size)
-    payload_len = _TRAILER.unpack_from(rest, 4 * ndim)[2]
+    frame = bytearray(first)
+    _recv_into(sock, frame, _PREFIX.size)
+    _recv_into(sock, frame, wire_header_bytes(_check_prefix(frame)[1]))
+    *_, payload_len, end = _parse_header(frame)
     if payload_len > MAX_PAYLOAD_BYTES:
         raise ProtocolError(f"payload_len {payload_len} exceeds {MAX_PAYLOAD_BYTES}")
-    if msg_type in ELEMENT_BITS:
-        dims = struct.unpack_from(f">{ndim}I", rest)
-        if payload_len != _tensor_payload_bytes(ELEMENT_BITS[msg_type], dims):
-            raise ProtocolError(f"payload_len {payload_len} does not fit "
-                                f"{MsgType(msg_type).name} dims {dims}")
-    return prefix + rest + _recv_exact(sock, payload_len)
+    _recv_into(sock, frame, end + payload_len)
+    return frame
 
 
 def tensor_digest(t: np.ndarray) -> bytes:

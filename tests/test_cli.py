@@ -448,9 +448,12 @@ def test_distill_epochs_over_cap_exits_2_before_it_builds_the_fixture(tmp_path, 
     assert captured.out == "" and not out.exists()
 
 
-def test_distill_unknown_fixture_exits_2(tmp_path):
-    assert run(["distill", "--fixture", "resnet50", "--out",
+@pytest.mark.parametrize("extra", [[], ["--epochs", "0"]], ids=["plain", "bad-epochs"])
+def test_distill_unknown_fixture_exits_2(tmp_path, capsys, extra):
+    # the name is checked before the epochs are
+    assert run(["distill", "--fixture", "resnet50", *extra, "--out",
                 str(tmp_path / "x.csv")]) == 2
+    assert "unknown fixture 'resnet50'" in capsys.readouterr().err
 
 
 # --- filter-metrics -----------------------------------------------------------------

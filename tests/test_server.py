@@ -133,6 +133,12 @@ def test_unusable_setting_is_rejected_before_serving(kwargs):
         PipelineServer(prof=PROF, **kwargs)
 
 
+def test_stats_is_not_a_constructor_option():
+    with pytest.raises(TypeError):
+        PipelineServer(prof=PROF, stats=[])
+    assert PipelineServer(prof=PROF).stats == []
+
+
 def test_stop_closes_live_connections_and_joins_handlers():
     before = set(threading.enumerate())
     srv = PipelineServer(prof=PROF).start()

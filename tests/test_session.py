@@ -3,6 +3,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from splitwire.pipeline import session
 from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
-from splitwire.pipeline.wire import (MAGIC, MAX_PAYLOAD_BYTES, MsgType,
-                                    detection_result_message, encode_message,
+from splitwire.pipeline.wire import (MAGIC, MAX_PAYLOAD_BYTES, MsgType, WireMessage,
+                                    decode_message, detection_result_message,
+                                    encode_message, load_message, save_message,
                                     tensor_digest, tensor_to_message, wire_header_bytes)
 from splitwire.tensor import Shape, random_fill
 
@@ -368,6 +370,11 @@ class _RecordingSocket:
         chunk, self.data = self.data[:n], self.data[n:]
         return chunk
 
+    def recv_into(self, buf, n: int = 0) -> int:
+        chunk = self.recv(n or len(buf))
+        buf[:len(chunk)] = chunk
+        return len(chunk)
+
 
 def _header(msg_type: MsgType, dims: tuple, payload_len: int) -> bytes:
     return (MAGIC + bytes([1, msg_type, len(dims)]) + struct.pack(f">{len(dims)}I", *dims)
@@ -377,9 +384,56 @@ def _header(msg_type: MsgType, dims: tuple, payload_len: int) -> bytes:
 def test_each_recv_is_bounded_whatever_the_header_claims():
     # a dimless JPEG_IMAGE header claiming the largest payload allowed, then EOF
     sock = _RecordingSocket(_header(MsgType.JPEG_IMAGE, (), MAX_PAYLOAD_BYTES))
-    with pytest.raises(TransportError, match="closed mid-frame"):
-        read_frame(sock)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TransportError, match="closed mid-frame"):
+            read_frame(sock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert max(sock.asked) <= 1 << 20
+    # the header alone reserves no more than one recv's worth
+    assert peak < 1.1 * (1 << 20)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: quantize8(random_fill(Shape([3, 223, 265]), 1, -1.0, 1.0)),
+    lambda: WireMessage(MsgType.JPEG_IMAGE, payload=bytes(MAX_PAYLOAD_BYTES)),
+], ids=["reference-qtensor8", "jpeg-at-cap"])
+def test_one_read_holds_the_frame_once(make):
+    frame = encode_message(make())
+    head, tail = socket.socketpair()
+    with head, tail:
+        tail.settimeout(10.0)
+        sender = threading.Thread(target=head.sendall, args=(frame,))
+        sender.start()
+        tracemalloc.start()
+        try:
+            msg = read_frame(tail)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sender.join(timeout=10.0)
+    assert not sender.is_alive()
+    assert encode_message(msg) == frame
+    assert peak <= 1.1 * len(frame)
+
+
+def test_a_decoded_payload_is_read_only_and_never_aliased(tmp_path):
+    first, second = (quantize8(random_fill(Shape([3, 8, 8]), seed, -1.0, 1.0))
+                     for seed in (1, 2))
+    head, tail = socket.socketpair()
+    with head, tail:
+        tail.settimeout(2.0)
+        head.sendall(encode_message(first) + encode_message(second))
+        got_first, got_second = read_frame(tail), read_frame(tail)
+    assert got_first == decode_message(encode_message(first)) == first
+    assert got_second == second
+    save_message(str(tmp_path / "first.bin"), first)
+    for msg in (got_first, got_second, load_message(str(tmp_path / "first.bin"))):
+        with pytest.raises(TypeError):
+            msg.payload[0] = 0
+        assert hash(msg) == hash(first if msg == first else second)
 
 
 @pytest.mark.parametrize("msg_type, dims, payload_len, match", [

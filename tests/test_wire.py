@@ -187,6 +187,11 @@ class _Dribble:
         chunk, self.data = self.data[:1], self.data[1:]
         return chunk
 
+    def recv_into(self, buf, n: int = 0) -> int:
+        chunk = self.recv(1)
+        buf[:len(chunk)] = chunk
+        return len(chunk)
+
 
 def test_recv_frame_reassembles_a_dribbled_frame():
     frame = encode_message(qmsg([2, 3, 4], seed=5))
