@@ -7,7 +7,9 @@ ndarray of the bottleneck's shape (``splitwire.tensor``). Two transports:
   the closed-form frame size from ``wire``: wire_header_bytes(rank) plus
   numel * width // 8 payload bytes, which is len() of the frame socket mode
   would send at any width. Its uplink seconds come from
-  latency.transfer_time. A run is a deterministic function of (images,
+  latency.transfer_time. An image of a rank that no header carries (over
+  ``wire.MAX_NDIM``) is an ArgumentError before the first image, whatever
+  the filter drops. A run is a deterministic function of (images,
   profile, channel, filter, seed), and reads only each image's shape and
   label: the CLI's simulated client builds no tensors, passing one shared
   tensor with the labels of ``stream_labels``, so its memory does not grow
@@ -15,8 +17,9 @@ ndarray of the bottleneck's shape (``splitwire.tensor``). Two transports:
 * ``socket``    - frames go over a real TCP stream to a PipelineServer,
   paced by a token bucket at the channel rate; uplink seconds are measured
   wall clock, while head and tail compute stay virtual (from the profile).
-  A tensor whose payload would exceed ``wire.MAX_PAYLOAD_BYTES`` is an
-  ArgumentError before the connection opens. Each image is quantized once.
+  A tensor of a rank over ``wire.MAX_NDIM``, or whose payload would exceed
+  ``wire.MAX_PAYLOAD_BYTES``, is an ArgumentError before the connection
+  opens. Each image is quantized once.
   The client computes the digest of the dequantized tensor while its frame
   is still on the link, in the token bucket's first pacing wait (after the
   last byte when the frame fits in one chunk), and checks it against the
@@ -187,6 +190,13 @@ def run_session(images: list[tuple[np.ndarray, bool]], prof: ExecutionProfile,
         raise ArgumentError("need at least one image")
     if width not in (8, 16, 32):
         raise ArgumentError(f"width must be 8, 16 or 32, got {width}")
+    if mode == "socket" and server_addr is None:
+        raise ArgumentError("socket mode needs server_addr")
+    for img, _empty in images:  # whatever the gate drops
+        if mode == "socket":
+            check_payload_fits(img.shape, width)
+        else:
+            wire_header_bytes(img.ndim)  # ArgumentError past wire.MAX_NDIM
 
     rng = np.random.default_rng([0x5C0FE5, seed])
     labels = np.array([empty for _, empty in images], dtype=bool)
@@ -198,10 +208,6 @@ def run_session(images: list[tuple[np.ndarray, bool]], prof: ExecutionProfile,
     sock = None
     bucket = None
     if mode == "socket":
-        if server_addr is None:
-            raise ArgumentError("socket mode needs server_addr")
-        for img, _empty in images:
-            check_payload_fits(img.shape, width)
         try:
             sock = socket.create_connection(server_addr, timeout=connect_timeout_s)
         except OSError as exc:

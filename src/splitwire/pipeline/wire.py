@@ -20,15 +20,20 @@ yields a valid message or raises ProtocolError.
 
 recv_frame reads one frame off a stream into one fresh bytearray, asking
 for at most 1 MiB per recv and holding at most 1 MiB past the bytes that
-arrived. It checks magic, version and ndim once the 7-byte prefix is in,
-and before any payload it checks payload_len with decode_message's header
-parser, and against MAX_PAYLOAD_BYTES. decode_message copies no payload: a
-decoded payload is a read-only memoryview of the frame. check_payload_fits
-refuses, before anything is built or sent, a tensor over that cap.
+arrived. It checks magic, version and ndim once the 7-byte prefix is in.
+Before any payload it checks the whole header with the record's own rule,
+so it refuses every header that WireMessage would refuse, with the same
+message, and then payload_len against MAX_PAYLOAD_BYTES. decode_message
+copies no payload: a decoded payload is a read-only memoryview of the
+frame. check_payload_fits refuses, before anything is built or sent, a rank
+of more than MAX_NDIM or a tensor over that cap.
 
 WireMessage is the one record of a tensor on the wire, as the codec's
-quantizers return it: it owns the payload-length rule and the scale's
-binary32 rounding. ELEMENT_BITS is each tensor type's element width.
+quantizers return it. It owns every header rule: a known type, at most
+MAX_NDIM dims in [1, 2^32), a scale finite as binary32 (and rounded to it),
+an int32 zero point, a tensor payload of dims x width, no dims on any other
+type and an empty EMPTY_RESULT. ELEMENT_BITS is each tensor type's element
+width.
 
 tensor_digest (SHA-256 of the float32 values) is what the tail replies
 with and what the head checks; it and tensor_to_message take a tensor
@@ -82,12 +87,16 @@ MAX_PAYLOAD_BYTES = 1 << 24
 
 _PREFIX = struct.Struct(">4sBBB")
 _TRAILER = struct.Struct(">fiQ")
+_SCALE = struct.Struct(">f")  # the trailer's binary32 scale, which a message rounds to
 _RECV_CHUNK = 1 << 20
 _ZEROS = memoryview(bytes(_RECV_CHUNK))  # recv_frame grows by it; its pages stay unwritten
 
 
 def wire_header_bytes(ndim: int) -> int:
-    """Header byte count of a frame carrying a rank-``ndim`` tensor."""
+    """Header byte count of a frame carrying a rank-``ndim`` tensor;
+    ArgumentError past MAX_NDIM, the most dims a header can carry."""
+    if ndim > MAX_NDIM:
+        raise ArgumentError(f"a frame carries at most {MAX_NDIM} dims, got {ndim}")
     return _PREFIX.size + 4 * ndim + _TRAILER.size
 
 
@@ -111,14 +120,50 @@ def _tensor_payload_bytes(width: int, dims) -> int:
 
 
 def check_payload_fits(dims, width: int) -> None:
-    """ArgumentError unless a tensor of ``dims`` at ``width`` bits per element
-    has a payload of at most MAX_PAYLOAD_BYTES, the most a receiver reads."""
+    """ArgumentError unless a header can carry ``dims`` (wire_header_bytes)
+    and a tensor of them at ``width`` bits per element has a payload of at
+    most MAX_PAYLOAD_BYTES, the most a receiver reads."""
+    wire_header_bytes(len(dims))
     size = _tensor_payload_bytes(width, dims)
     if size > MAX_PAYLOAD_BYTES:
         raise ArgumentError(
             f"a {'x'.join(map(str, dims))} tensor at width {width} is a {size}-byte "
             f"payload, over the {MAX_PAYLOAD_BYTES}-byte cap (wire.MAX_PAYLOAD_BYTES)"
         )
+
+
+def _check_header(msg_type, dims, scale, zero_point, payload_len) -> tuple[MsgType, float]:
+    """The one statement of what a frame header may hold: ProtocolError unless
+    it may, else its MsgType and its scale rounded to binary32."""
+    try:
+        mt = MsgType(msg_type)
+    except ValueError:
+        raise ProtocolError(f"unknown msg_type {msg_type}") from None
+    if len(dims) > MAX_NDIM:
+        raise ProtocolError(f"ndim {len(dims)} exceeds maximum {MAX_NDIM}")
+    if any(d < 1 or d > 0xFFFFFFFF for d in dims):
+        raise ProtocolError(f"dims must be in [1, 2^32), got {dims}")
+    try:
+        scale = _SCALE.unpack(_SCALE.pack(scale))[0]
+    except OverflowError:  # finite, but it rounds past binary32
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ProtocolError("scale must be finite (as a binary32 value)")
+    if not -(2 ** 31) <= zero_point < 2 ** 31:
+        raise ProtocolError("zero_point outside signed 32-bit range")
+    width = ELEMENT_BITS.get(mt)
+    if width:
+        if not dims:
+            raise ProtocolError(f"{mt.name} needs at least one dim")
+        expected = _tensor_payload_bytes(width, dims)
+        if payload_len != expected:
+            raise ProtocolError(f"payload_len {payload_len} does not fit {mt.name} "
+                                f"dims {dims}: that payload is {expected} bytes")
+    elif dims:
+        raise ProtocolError(f"{mt.name} must not carry dims")
+    elif mt is MsgType.EMPTY_RESULT and payload_len:
+        raise ProtocolError("EMPTY_RESULT must have no payload")
+    return mt, scale
 
 
 @dataclass(frozen=True)
@@ -133,39 +178,12 @@ class WireMessage:
     payload: bytes | memoryview = field(default=b"", hash=False)
 
     def __post_init__(self):
-        try:
-            mt = MsgType(self.msg_type)
-        except ValueError:
-            raise ProtocolError(f"unknown msg_type {self.msg_type}") from None
-        object.__setattr__(self, "msg_type", mt)
         dims = tuple(int(d) for d in self.dims)
+        mt, scale = _check_header(self.msg_type, dims, self.scale, self.zero_point,
+                                  len(self.payload))
+        object.__setattr__(self, "msg_type", mt)
         object.__setattr__(self, "dims", dims)
-        if len(dims) > MAX_NDIM:
-            raise ProtocolError(f"ndim {len(dims)} exceeds maximum {MAX_NDIM}")
-        if any(d < 1 or d > 0xFFFFFFFF for d in dims):
-            raise ProtocolError(f"dims must be in [1, 2^32), got {dims}")
-        # a finite scale beyond binary32 rounds to inf: an error, not a warning
-        with np.errstate(over="ignore"):
-            scale = float(np.float32(self.scale))
-        if not math.isfinite(scale):
-            raise ProtocolError("scale must be finite (as a binary32 value)")
         object.__setattr__(self, "scale", scale)
-        if not -(2 ** 31) <= self.zero_point < 2 ** 31:
-            raise ProtocolError("zero_point outside signed 32-bit range")
-
-        if mt in ELEMENT_BITS:
-            if not dims:
-                raise ProtocolError(f"{mt.name} needs at least one dim")
-            expected = _tensor_payload_bytes(ELEMENT_BITS[mt], dims)
-            if len(self.payload) != expected:
-                raise ProtocolError(
-                    f"{mt.name} payload is {len(self.payload)} bytes, "
-                    f"expected {expected} for dims {dims}"
-                )
-        elif dims:
-            raise ProtocolError(f"{mt.name} must not carry dims")
-        elif mt is MsgType.EMPTY_RESULT and self.payload:
-            raise ProtocolError("EMPTY_RESULT must have no payload")
 
     @property
     def header_bytes(self) -> int:
@@ -220,7 +238,8 @@ def _check_prefix(data: bytes) -> tuple[int, int]:
 
 def _parse_header(data) -> tuple[int, tuple[int, ...], float, int, int, int]:
     """msg_type, dims, scale, zero_point, payload_len and header length of the header
-    ``data`` starts with, or ProtocolError; a tensor's payload_len must fit its dims."""
+    ``data`` starts with, as laid out; ProtocolError if it is cut short. Its
+    fields are unchecked past the prefix: _check_header judges them."""
     if len(data) < _PREFIX.size:
         raise ProtocolError(f"truncated frame: {len(data)} bytes")
     msg_type, ndim = _check_prefix(data)
@@ -229,10 +248,6 @@ def _parse_header(data) -> tuple[int, tuple[int, ...], float, int, int, int]:
         raise ProtocolError("truncated header")
     dims = struct.unpack_from(f">{ndim}I", data, _PREFIX.size) if ndim else ()
     scale, zero_point, payload_len = _TRAILER.unpack_from(data, end - _TRAILER.size)
-    width = ELEMENT_BITS.get(msg_type)
-    if width and payload_len != _tensor_payload_bytes(width, dims):
-        raise ProtocolError(f"payload_len {payload_len} does not fit "
-                            f"{MsgType(msg_type).name} dims {dims}")
     return msg_type, dims, scale, zero_point, payload_len, end
 
 
@@ -262,7 +277,9 @@ def _recv_into(sock: socket.socket, frame: bytearray, n: int) -> None:
 def recv_frame(sock: socket.socket) -> bytearray | None:
     """One frame read off a stream, in a fresh bytearray; None at end-of-stream.
 
-    A socket timeout propagates as ``socket.timeout``, also before the first
+    A header that WireMessage would refuse, or one whose payload_len exceeds
+    MAX_PAYLOAD_BYTES, is a ProtocolError before any payload byte is read. A
+    socket timeout propagates as ``socket.timeout``, also before the first
     byte, so a slow peer is not mistaken for a closed one.
     """
     first = sock.recv(_PREFIX.size)
@@ -271,7 +288,8 @@ def recv_frame(sock: socket.socket) -> bytearray | None:
     frame = bytearray(first)
     _recv_into(sock, frame, _PREFIX.size)
     _recv_into(sock, frame, wire_header_bytes(_check_prefix(frame)[1]))
-    *_, payload_len, end = _parse_header(frame)
+    msg_type, dims, scale, zero_point, payload_len, end = _parse_header(frame)
+    _check_header(msg_type, dims, scale, zero_point, payload_len)
     if payload_len > MAX_PAYLOAD_BYTES:
         raise ProtocolError(f"payload_len {payload_len} exceeds {MAX_PAYLOAD_BYTES}")
     _recv_into(sock, frame, end + payload_len)

@@ -657,6 +657,21 @@ def test_client_frame_over_the_cap_exits_2_before_building_a_tensor(
     assert "MAX_PAYLOAD_BYTES" in err
 
 
+@pytest.mark.parametrize("mode", ["simulated", "socket"])
+def test_client_rank_over_max_ndim_exits_2_before_building(tmp_path, ref_path, capsys,
+                                                          monkeypatch, mode):
+    # simulated charged a 60-byte frame no header can carry and exited 0; socket
+    # built every tensor, connected, then exited 3
+    monkeypatch.setattr(cli, "make_stream", lambda *a: pytest.fail("built the tensors"))
+    out = tmp_path / "x.csv"
+    assert run(["client", "--config", ref_path, "--mode", mode, "--addr", "127.0.0.1:1",
+                "--shape", "1x1x1x1x1x1x1x1x1", "--n", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "a frame carries at most 8 dims, got 9" in err
+    assert not out.exists()
+
+
 def test_client_zero_images_exits_2(tmp_path, ref_path):
     assert run(["client", "--config", ref_path, "--mode", "simulated",
                 "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2

@@ -3,6 +3,7 @@ import gc
 import os
 import queue
 import socket
+import struct
 import sys
 import threading
 import time
@@ -19,6 +20,8 @@ from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import HANDLERS, PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
 from splitwire.pipeline.wire import (
+    MAGIC,
+    VERSION,
     MsgType,
     WireMessage,
     empty_result_message,
@@ -81,6 +84,20 @@ def test_malformed_frame_closes_connection_but_server_survives():
         log = run_session(images, PROF, FAST, KEEP_ALL, mode="socket",
                           seed=5, server_addr=srv.address)
         assert len(log.records) == 3
+
+
+def test_a_refused_header_ends_its_connection_at_once():
+    # a header the record refuses, whose payload never comes: the reader
+    # refuses it before it waits for the payload, not at the idle timeout
+    header = MAGIC + bytes([VERSION, 200, 0]) + struct.pack(">fiQ", 1.0, 0, 1 << 20)
+    with PipelineServer(prof=PROF, idle_timeout_s=2.0) as srv:
+        with socket.create_connection(srv.address, timeout=5.0) as peer:
+            peer.sendall(header)
+            start = time.monotonic()
+            assert peer.recv(1) == b""
+            assert time.monotonic() - start < 0.5
+        assert _wait_for(lambda: srv.stats and srv.stats[0].closed_reason)
+    assert srv.stats[0].closed_reason.startswith("protocol_error: unknown msg_type")
 
 
 def test_two_concurrent_clients_complete_independently():

@@ -124,6 +124,16 @@ def test_bad_width_raises_even_when_every_image_is_dropped():
         run_session(images, PROF, CH, drop_all, mode="simulated", seed=19, width=12)
 
 
+@pytest.mark.parametrize("mode", ["simulated", "socket"])
+def test_a_rank_no_header_carries_is_refused_whatever_the_gate_drops(mode):
+    drop_all = FilterModel(threshold=1.0, p_empty=0.5, mu_empty=-30.0,
+                           sigma_empty=0.1, mu_nonempty=30.0, sigma_nonempty=0.1)
+    img = np.zeros((1,) * 9, dtype=np.float32)
+    with pytest.raises(ArgumentError, match="at most 8 dims, got 9"):
+        run_session([(img, True)], PROF, CH, drop_all, mode=mode,
+                    server_addr=("127.0.0.1", 1), connect_timeout_s=0.5)
+
+
 def test_make_stream_respects_prior_and_determinism():
     stream = make_stream(2000, [3, 2, 2], 0.46, seed=15)
     frac_empty = np.mean([empty for _, empty in stream])
@@ -376,9 +386,10 @@ class _RecordingSocket:
         return len(chunk)
 
 
-def _header(msg_type: MsgType, dims: tuple, payload_len: int) -> bytes:
+def _header(msg_type: int, dims: tuple, payload_len: int, scale: float = 1.0) -> bytes:
+    """A frame header of any type byte, unchecked."""
     return (MAGIC + bytes([1, msg_type, len(dims)]) + struct.pack(f">{len(dims)}I", *dims)
-            + struct.pack(">fiQ", 1.0, 0, payload_len))
+            + struct.pack(">fiQ", scale, 0, payload_len))
 
 
 def test_each_recv_is_bounded_whatever_the_header_claims():
@@ -436,16 +447,23 @@ def test_a_decoded_payload_is_read_only_and_never_aliased(tmp_path):
         assert hash(msg) == hash(first if msg == first else second)
 
 
-@pytest.mark.parametrize("msg_type, dims, payload_len, match", [
-    (MsgType.QTENSOR8, (1,), 3 << 20, "does not fit QTENSOR8 dims"),
-    (MsgType.FTENSOR32, (2, 3), 25, "does not fit FTENSOR32 dims"),
-    (MsgType.JPEG_IMAGE, (), MAX_PAYLOAD_BYTES + 1, "exceeds"),
-    (MsgType.JPEG_IMAGE, (), (1 << 32) - 1, "exceeds"),
-    (MsgType.QTENSOR8, (1 << 16, 1 << 16), 1 << 32, "exceeds"),
-], ids=["qtensor8-3mib", "ftensor32-short", "jpeg-over-cap", "jpeg-4gib", "tensor-over-cap"])
-def test_a_frame_is_bounded_before_its_payload_is_read(msg_type, dims, payload_len, match):
+@pytest.mark.parametrize("msg_type, dims, payload_len, scale, match", [
+    (MsgType.QTENSOR8, (1,), 3 << 20, 1.0, "does not fit QTENSOR8 dims"),
+    (MsgType.FTENSOR32, (2, 3), 25, 1.0, "does not fit FTENSOR32 dims"),
+    (MsgType.JPEG_IMAGE, (), MAX_PAYLOAD_BYTES + 1, 1.0, "exceeds"),
+    (MsgType.JPEG_IMAGE, (), (1 << 32) - 1, 1.0, "exceeds"),
+    (MsgType.QTENSOR8, (1 << 16, 1 << 16), 1 << 32, 1.0, "exceeds"),
+    # every rule of the record stops the reader too
+    (200, (), 2 << 20, 1.0, "unknown msg_type 200"),
+    (MsgType.JPEG_IMAGE, (4,), 2 << 20, 1.0, "JPEG_IMAGE must not carry dims"),
+    (MsgType.EMPTY_RESULT, (), 2 << 20, 1.0, "EMPTY_RESULT must have no payload"),
+    (MsgType.QTENSOR8, (2 << 20,), 2 << 20, float("nan"), "scale must be finite"),
+], ids=["qtensor8-3mib", "ftensor32-short", "jpeg-over-cap", "jpeg-4gib", "tensor-over-cap",
+        "unknown-type", "jpeg-with-dims", "empty-result-with-payload", "nan-scale"])
+def test_a_frame_is_bounded_before_its_payload_is_read(msg_type, dims, payload_len, scale,
+                                                       match):
     # the payload is there to be read: only the header check can stop the reads
-    header = _header(msg_type, dims, payload_len)
+    header = _header(msg_type, dims, payload_len, scale)
     sock = _RecordingSocket(header + bytes(min(payload_len, 1 << 21)))
     with pytest.raises(ProtocolError, match=match):
         read_frame(sock)

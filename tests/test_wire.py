@@ -1,9 +1,10 @@
+import math
 import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from splitwire.codec import dequantize, quantize8, quantize16
@@ -132,6 +133,30 @@ def test_scale_is_rounded_to_binary32_once():
     m = WireMessage(MsgType.QTENSOR8, (1,), 0.1, 0, b"\x01")
     assert m.scale == float(np.float32(0.1)) != 0.1
     assert decode_message(encode_message(m)) == m
+
+
+_FLT_MAX = float(np.finfo(np.float32).max)
+_MIDPOINT_ABOVE_FLT_MAX = 2.0 ** 128 - 2.0 ** 103  # a tie: rounds to even, past FLT_MAX
+
+
+@given(st.floats())
+@example(_FLT_MAX)
+@example(_MIDPOINT_ABOVE_FLT_MAX)
+@example(math.nextafter(_MIDPOINT_ABOVE_FLT_MAX, 0.0))  # the largest that rounds down
+@example(2.0 ** -149)
+@example(2.0 ** -150)
+@example(-0.0)
+def test_scale_rounds_to_binary32_as_numpy_does(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            want = float(np.float32(x))
+        if math.isfinite(want):
+            got = WireMessage(MsgType.QTENSOR8, (1,), x, 0, b"\x01").scale
+            assert struct.pack(">d", got) == struct.pack(">d", want)
+        else:
+            with pytest.raises(ProtocolError, match="scale must be finite"):
+                WireMessage(MsgType.QTENSOR8, (1,), x, 0, b"\x01")
 
 
 def test_tensor_payload_length_checked():
