@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .pipeline import wire
 from .pipeline.filtergate import gate_metrics
-from .pipeline.server import serve
+from .pipeline.server import IDLE_TIMEOUT_S, PipelineServer
 from .pipeline.session import make_stream, run_session, stream_labels
 from .tensor import Shape
 
@@ -224,7 +225,13 @@ def cmd_filter_metrics(args) -> int:
 def cmd_serve(args) -> int:
     cfg = _resolve_config(args)
     host, port = _parse_addr(args.addr)
-    serve(host, port, cfg.profile, idle_timeout_s=args.idle_timeout)
+    with PipelineServer(cfg.profile, host, port, args.idle_timeout) as srv:
+        # with port 0 this line is the only way to learn the bound port
+        print("serving on %s:%d" % srv.address, flush=True)
+        try:
+            threading.Event().wait()  # until Ctrl-C raises KeyboardInterrupt
+        except KeyboardInterrupt:
+            pass
     return EXIT_OK
 
 
@@ -316,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the tail-side server (blocking)")
     add_config(p)
     p.add_argument("--addr", required=True, help="bind address HOST:PORT")
-    p.add_argument("--idle-timeout", type=float, default=10.0,
-                   help="close a connection silent for this many seconds (default 10), "
+    p.add_argument("--idle-timeout", type=float, default=IDLE_TIMEOUT_S,
+                   help=f"close a connection silent for this many seconds "
+                        f"(default {IDLE_TIMEOUT_S:g}), "
                         "so stalled peers cannot hold every handler thread")
     p.set_defaults(func=cmd_serve)
 

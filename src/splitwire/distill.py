@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError, RangeError, ShapeError, check_number
+from .errors import ArgumentError, ShapeError, check_argument
 
 __all__ = [
     "AffineLayer",
@@ -38,14 +38,6 @@ __all__ = [
     "fixture_names",
     "get_fixture",
 ]
-
-
-def _check_arg(name: str, value, **bounds) -> None:
-    """``errors.check_number``'s rule, raised as an ArgumentError."""
-    try:
-        check_number(name, value, **bounds)
-    except RangeError as exc:
-        raise ArgumentError(str(exc)) from None
 
 
 # --- toy affine stacks ------------------------------------------------------
@@ -177,7 +169,7 @@ class TrainConfig:
             raise ArgumentError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ArgumentError("batch_size must be >= 1")
-        _check_arg("lr0", self.lr0, above=0.0)
+        check_argument("lr0", self.lr0, above=0.0)
         if not 0 < self.lr_decay_factor <= 1:
             raise ArgumentError("lr_decay_factor must be in (0, 1]")
         object.__setattr__(self, "decay_epochs", tuple(self.decay_epochs))
@@ -279,7 +271,7 @@ def _scale_factors(lambdas: list[float] | None, n_taps: int) -> list[float]:
     if len(lambdas) != n_taps:
         raise ArgumentError("need one scale factor per tap")
     for k, lam in enumerate(lambdas):
-        _check_arg(f"scale factor {k}", lam, at_least=0.0)
+        check_argument(f"scale factor {k}", lam, at_least=0.0)
     return list(lambdas)
 
 
@@ -310,15 +302,13 @@ def train_toy(teacher: ToyHead, student: ToyHead, dataset,
     teacher taps, its ``2 * lam`` factors, preallocated output, residual and
     backprop buffers, and the weight and bias views into the flat parameter
     and gradient vectors. A step then runs forward, backprop and Adam through
-    ``out=`` ufuncs and in-place operators alone. Each of them performs the
-    same IEEE operation on the same operands, in the same order, as the
-    expression that once allocated its result, so the trained weights and
-    every epoch's loss are bit-identical to that code; golden digests in the
-    tests pin both. The one difference is where backprop starts: from the
-    last tap's scaled residual itself, which the old code added to zeros, so
-    the two can differ only in the sign of a zero. Layers past the last tap
-    are not run: their gradient stays zero, so Adam leaves them unchanged,
-    as before.
+    ``out=`` ufuncs and in-place operators alone, each a fixed IEEE
+    operation on fixed operands in a fixed order, so the trained weights and
+    every epoch's loss are the same bits on every run; golden digests in the
+    tests (``TRAINED_DIGESTS``, ``BRANCH_DIGESTS``) pin both, and any change
+    to an operation or its order must keep them. Backprop starts from the
+    last tap's scaled residual. Layers past the last tap are not run: their
+    gradient stays zero, so Adam leaves them unchanged.
     """
     _check_aligned(teacher, student)
     lambdas = _scale_factors(lambdas, len(student.tap_indices))

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all splitwire modules, the rules every
-numeric configuration value and every seed are checked by, and the reader
-that reports a JSON document it cannot load as an ArgumentError."""
+numeric setting and every seed are checked by, and the reader that reports
+a JSON document it cannot load as an ArgumentError."""
 
 from __future__ import annotations
 
@@ -54,6 +54,14 @@ def check_number(name: str, value: object, *, above: float | None = None,
         rule = "".join(f" and {op} {bound:g}" for op, bound in
                        ((">", above), (">=", at_least), ("<=", at_most)) if bound is not None)
         raise RangeError(f"{name} must be finite{rule}, got {value!r}")
+
+
+def check_argument(name: str, value: object, **bounds) -> None:
+    """``check_number``'s rule, raised as an ArgumentError."""
+    try:
+        check_number(name, value, **bounds)
+    except RangeError as exc:
+        raise ArgumentError(str(exc)) from None
 
 
 def check_seed(name: str, value: object) -> int:

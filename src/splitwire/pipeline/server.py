@@ -13,9 +13,19 @@ each connection to the most recently idle follower and goes back to accept();
 with no follower idle it serves the connection itself, and the next handler to
 go idle leads. So connections that come one at a time all land on one thread
 and its warm malloc arena. Peers beyond the handlers wait in the listen
-backlog, and an idle timeout frees the handlers that stalled peers hold. A
-malformed frame closes only that connection and a failed accept is retried;
-the server keeps serving until stop(), which wakes the leader at once.
+backlog. A malformed frame closes only that connection and a failed accept
+is retried; the server keeps serving until stop(), which wakes the leader at
+once.
+
+A server has one configuration: the profile is required, and the idle
+timeout is always on. A connection that sends nothing for idle_timeout_s
+(IDLE_TIMEOUT_S, 10 s, unless given another) is closed, so stalled peers
+cannot hold every handler. Every setting is checked at construction, before
+anything binds: a prof that is not an ExecutionProfile, an idle_timeout_s
+that is not a finite number > 0 (None and True included), a host that is not
+a str without NUL and a port that is not an int in 0..65535 each raise
+ArgumentError. A port that start() cannot bind is a TransportError. The
+CLI's serve command runs this class itself; there is no serve() function.
 
 Each connection's closed_reason says how it ended: "eof" (the peer closed
 between frames), "idle_timeout", "stopped", "protocol_error: ..." or
@@ -26,14 +36,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import queue
 import socket
 import threading
 from dataclasses import dataclass, field
 
 from ..codec import dequantize
-from ..errors import ArgumentError, CodecError, ProtocolError, TransportError
+from ..errors import ArgumentError, CodecError, ProtocolError, TransportError, check_argument
 from ..latency import ExecutionProfile
 from .session import read_frame
 from .wire import (
@@ -45,11 +54,12 @@ from .wire import (
     tensor_digest,
 )
 
-__all__ = ["ConnectionStats", "PipelineServer", "serve"]
+__all__ = ["ConnectionStats", "PipelineServer"]
 
 log = logging.getLogger(__name__)
 
 HANDLERS = 8
+IDLE_TIMEOUT_S = 10.0
 
 
 @dataclass
@@ -64,18 +74,24 @@ class ConnectionStats:
 
 @dataclass
 class PipelineServer:
+    prof: ExecutionProfile
     host: str = "127.0.0.1"
     port: int = 0
-    prof: ExecutionProfile | None = None
-    idle_timeout_s: float | None = None
+    idle_timeout_s: float = IDLE_TIMEOUT_S
     stats: list[ConnectionStats] = field(default_factory=list, init=False)
 
     def __post_init__(self):
-        # checked here: a handler thread would die on a bad timeout before it
-        # could close its connection
-        t = self.idle_timeout_s
-        if t is not None and not (math.isfinite(t) and t > 0):
-            raise ArgumentError(f"idle_timeout_s must be None or finite and > 0, got {t}")
+        # checked here: a handler thread would die on a bad profile or timeout
+        # before it could close its connection, and bind() raises for a bad
+        # host or port without closing the socket
+        if not isinstance(self.prof, ExecutionProfile):
+            raise ArgumentError(f"prof must be an ExecutionProfile, got {self.prof!r}")
+        check_argument("idle_timeout_s", self.idle_timeout_s, above=0.0)
+        if not isinstance(self.host, str) or "\0" in self.host:
+            raise ArgumentError(f"host must be a str with no NUL, got {self.host!r}")
+        port = self.port
+        if isinstance(port, bool) or not isinstance(port, int) or not 0 <= port <= 65535:
+            raise ArgumentError(f"port must be an int in 0..65535, got {port!r}")
         self._listener: socket.socket | None = None
         self._handlers: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -92,17 +108,10 @@ class PipelineServer:
         return self._listener.getsockname()[:2]
 
     def start(self) -> "PipelineServer":
-        listener = None
         try:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen(16)
+            self._listener = socket.create_server((self.host, self.port), backlog=16)
         except OSError as exc:
-            if listener is not None:
-                listener.close()
             raise TransportError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
-        self._listener = listener
         for _ in range(HANDLERS):
             handler = threading.Thread(target=self._handler_loop, daemon=True)
             try:
@@ -192,8 +201,7 @@ class PipelineServer:
         stats = ConnectionStats(peer)
         with self._lock:
             self.stats.append(stats)
-        if self.idle_timeout_s is not None:
-            conn.settimeout(self.idle_timeout_s)
+        conn.settimeout(self.idle_timeout_s)
         try:
             while True:
                 # stop() may land between a reply and the next read
@@ -223,31 +231,14 @@ class PipelineServer:
             conn.close()
 
     def _respond(self, msg: WireMessage, stats: ConnectionStats) -> WireMessage:
-        prof = self.prof
         if msg.msg_type is MsgType.JPEG_IMAGE:
             # full-model path, charged as PO's server time: acknowledge with
             # a digest of the opaque bytes
-            stats.tail_seconds += 0.0 if prof is None else prof.t_edge_full
+            stats.tail_seconds += self.prof.t_edge_full
             return detection_result_message(hashlib.sha256(msg.payload).digest())
         if msg.msg_type in (MsgType.DETECTION_RESULT, MsgType.EMPTY_RESULT):
             return empty_result_message()
         tensor = dequantize(msg)
-        stats.tail_seconds += 0.0 if prof is None else prof.t_tail
+        stats.tail_seconds += self.prof.t_tail
         return detection_result_message(tensor_digest(tensor))
 
-
-def serve(host: str, port: int, prof: ExecutionProfile | None = None,
-          idle_timeout_s: float | None = None) -> None:
-    """Blocking server loop (Ctrl-C to stop); used by the CLI.
-
-    Prints ``serving on HOST:PORT`` with the bound address, so a caller that
-    asked for port 0 learns the port the system chose.
-    """
-    server = PipelineServer(host, port, prof, idle_timeout_s=idle_timeout_s).start()
-    print("serving on %s:%d" % server.address, flush=True)
-    try:
-        threading.Event().wait()  # until Ctrl-C raises KeyboardInterrupt
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()

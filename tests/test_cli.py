@@ -5,6 +5,7 @@ import re
 import resource
 import select
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -780,7 +781,7 @@ def test_port_outside_0_to_65535_exits_2(tmp_path, ref_path, capsys, command, po
 
 
 def test_serve_bind_conflict_exits_4(ref_path):
-    with PipelineServer() as srv:
+    with PipelineServer(prof=load_reference_config().profile) as srv:
         host, port = srv.address
         assert run(["serve", "--config", ref_path,
                     "--addr", f"{host}:{port}"]) == 4
@@ -805,12 +806,27 @@ def test_serve_prints_its_address_and_stops_on_sigint(tmp_path, ref_path):
                         "--addr", f"127.0.0.1:{bound.group(1)}", "--n", "20",
                         "--shape", "3x16x16", "--out", str(out)]) == 0
             assert len(out.read_text().splitlines()) == 21
+            # --idle-timeout reaches the server: a silent peer is closed after 1 s
+            with socket.create_connection(("127.0.0.1", int(bound.group(1))),
+                                          timeout=5.0) as peer:
+                start = time.monotonic()
+                assert peer.recv(1) == b""
+                assert 0.8 <= time.monotonic() - start <= 3.0
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=5.0) == 0
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_serve_unusable_idle_timeout_exits_2(ref_path, capsys, timeout):
+    assert run(["serve", "--config", ref_path, "--addr", "127.0.0.1:0",
+                "--idle-timeout", timeout]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert_one_error_line(printed.err)
 
 
 # --- file errors -----------------------------------------------------------------------

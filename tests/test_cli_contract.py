@@ -27,7 +27,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from splitwire.cli import MAX_EPOCHS, MAX_SAMPLES, main
-from splitwire.config import reference_config_path
+from splitwire.config import load_reference_config, reference_config_path
 from splitwire.distill import fixture_names
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.wire import MsgType, WireMessage, encode_message
@@ -317,7 +317,7 @@ def test_codec_exit_code_contract(run, kind, at, value):
 
 @pytest.fixture(scope="module")
 def server_addr():
-    with PipelineServer() as srv:
+    with PipelineServer(prof=load_reference_config().profile) as srv:
         yield "%s:%d" % srv.address
 
 

@@ -16,6 +16,7 @@ from splitwire import cli
 from splitwire.codec import dequantize, quantize8
 from splitwire.errors import ArgumentError, TransportError
 from splitwire.latency import ChannelModel, ExecutionProfile
+from splitwire.pipeline import server
 from splitwire.pipeline.filtergate import FilterModel
 from splitwire.pipeline.server import HANDLERS, PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame, run_session
@@ -143,11 +144,28 @@ def test_idle_timeout_closes_cleanly():
 
 @pytest.mark.parametrize("kwargs", [
     {"idle_timeout_s": -1.0}, {"idle_timeout_s": 0.0}, {"idle_timeout_s": float("nan")},
-], ids=["timeout-negative", "timeout-zero", "timeout-nan"])
+    {"idle_timeout_s": None}, {"idle_timeout_s": True}, {"idle_timeout_s": "5"},
+    {"port": 70000}, {"port": -1}, {"port": 80.5}, {"port": True}, {"prof": None},
+    {"host": 5}, {"host": "127.0.0.1\0"},
+], ids=["timeout-negative", "timeout-zero", "timeout-nan", "timeout-none", "timeout-bool",
+        "timeout-str", "port-70000", "port-negative", "port-float", "port-bool", "prof-none",
+        "host-int", "host-nul"])
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
 def test_unusable_setting_is_rejected_before_serving(kwargs):
-    # accepted, each would kill its handler in settimeout before the socket is closed
+    # accepted, a timeout or profile would kill its handler before the socket is
+    # closed, and bind() would raise for a host or port without closing the listener
     with pytest.raises(ArgumentError):
-        PipelineServer(prof=PROF, **kwargs)
+        PipelineServer(**{"prof": PROF, **kwargs})
+    gc.collect()
+
+
+def test_the_profile_is_required_and_the_idle_timeout_has_one_default():
+    with pytest.raises(TypeError):
+        PipelineServer()
+    args = cli.build_parser().parse_args(["serve", "--addr", "127.0.0.1:0"])
+    assert PipelineServer(PROF).idle_timeout_s == server.IDLE_TIMEOUT_S == 10.0
+    assert args.idle_timeout == server.IDLE_TIMEOUT_S
 
 
 def test_stats_is_not_a_constructor_option():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from splitwire.codec import dequantize, quantize8
+from splitwire.config import load_reference_config
 from splitwire.pipeline.server import PipelineServer
 from splitwire.pipeline.session import make_stream, read_frame
 from splitwire.pipeline.wire import MsgType, WireMessage, encode_message, tensor_digest
@@ -31,6 +32,7 @@ IDLE_S = 0.2
 # for its next byte began after the client last sent, and cannot have ended
 FRESH_S = 0.1
 MAX_CLIENTS = 4
+PROF = load_reference_config().profile
 
 _Q = quantize8(make_stream(1, [3, 4, 4], 0.0, seed=50)[0][0])
 FRAME = encode_message(_Q)
@@ -62,7 +64,7 @@ class ServerUnderPeers(RuleBasedStateMachine):
         super().__init__()
         self.threads = set(threading.enumerate())
         self.fds = _fd_count()
-        self.srv = PipelineServer(idle_timeout_s=IDLE_S).start()
+        self.srv = PipelineServer(prof=PROF, idle_timeout_s=IDLE_S).start()
         self.active: list[Client] = []   # served, and silent for under FRESH_S
         self.stalled: list[Client] = []  # left for the idle timeout to close
         self.ended: list[Client] = []    # closed by the client or for an error
